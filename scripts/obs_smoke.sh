@@ -54,8 +54,8 @@ from pathlib import Path
 
 workdir = Path(sys.argv[1])
 exported = json.loads((workdir / "metrics-export.json").read_text())
-assert exported["counters"].get("cache.misses", 0) > 0, \
-    "merged worker metrics missing cache.misses"
+assert exported["counters"].get("incremental.memo.misses", 0) > 0, \
+    "merged worker metrics missing incremental.memo.misses"
 assert exported["histograms"]["dse.point_seconds"]["count"] > 0, \
     "merged worker metrics missing point latency histogram"
 

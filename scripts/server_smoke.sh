@@ -80,8 +80,9 @@ grep -q '^repro_server_jobs_deduped 1$' "$workdir/metrics.txt" \
 grep -q '^repro_server_jobs_completed 2$' "$workdir/metrics.txt" \
     || { echo "FAIL: completed counter"; exit 1; }
 # merged *worker* counters prove the snapshot→merge path end to end
-grep -qE '^repro_cache_misses [1-9]' "$workdir/metrics.txt" \
-    || { echo "FAIL: no merged worker cache counters"; exit 1; }
+grep -qE '^repro_incremental_memo_misses\{domain="point"\} [1-9]' \
+    "$workdir/metrics.txt" \
+    || { echo "FAIL: no merged worker point-memo counters"; exit 1; }
 grep -q '# TYPE repro_server_job_seconds histogram' "$workdir/metrics.txt" \
     || { echo "FAIL: job latency histogram missing"; exit 1; }
 echo "OK: Prometheus exposition carries server + merged worker series"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test for the batch exploration engine: run a two-job manifest
 # serially and in parallel, check both succeed, check the parallel run
-# selects identical designs, and check the warm-cache rerun is all hits.
+# selects identical designs, and check the warm rerun from the memo
+# journal has zero point misses.
 # Run from the repo root: bash scripts/smoke.sh
 set -euo pipefail
 
@@ -24,25 +25,26 @@ EOF
 echo "== serial (--jobs 1) =="
 t0=$(python -c 'import time; print(time.time())')
 python -m repro batch "$workdir/manifest.json" --jobs 1 \
-    --cache "$workdir/cache-serial.json" \
+    --memo-dir "$workdir/memo-serial" \
     --json "$workdir/serial.json"
 t1=$(python -c 'import time; print(time.time())')
 
 echo "== parallel (--jobs 2) =="
 python -m repro batch "$workdir/manifest.json" --jobs 2 \
-    --cache "$workdir/cache-parallel.json" \
-    --trace "$workdir/trace.jsonl" \
+    --run-dir "$workdir/run" \
     --json "$workdir/parallel.json"
 t2=$(python -c 'import time; print(time.time())')
 
-echo "== warm cache rerun (--jobs 2) =="
+echo "== warm memo rerun (--jobs 2) =="
 python -m repro batch "$workdir/manifest.json" --jobs 2 \
-    --cache "$workdir/cache-parallel.json" \
+    --memo-dir "$workdir/run/memo" \
     --json "$workdir/warm.json"
 
 python - "$workdir" "$t0" "$t1" "$t2" <<'EOF'
 import json, sys
 from pathlib import Path
+
+from repro.incremental.journal import open_memo
 
 workdir = Path(sys.argv[1])
 t0, t1, t2 = map(float, sys.argv[2:5])
@@ -56,18 +58,19 @@ for a, b in zip(serial["jobs"], parallel["jobs"]):
     assert a["cycles"] == b["cycles"] and a["space"] == b["space"], (a, b)
 print("determinism: parallel selections match serial, point for point")
 
-# The trace's cache accounting is consistent.
-events = [json.loads(line)
-          for line in (workdir / "trace.jsonl").read_text().splitlines()]
+# The trace's point-memo accounting is consistent with the journal.
+events = [json.loads(line) for line
+          in (workdir / "run" / "trace.jsonl").read_text().splitlines()]
 finishes = [e for e in events if e["event"] == "job_finish"]
 misses = sum(e["cache_misses"] for e in finishes)
-entries = json.loads((workdir / "cache-parallel.json").read_text())
-assert misses == len(entries), (misses, len(entries))
-print(f"telemetry: {misses} cache misses == {len(entries)} cached estimates")
+entries = open_memo(workdir / "run" / "memo").counts()["point"]
+assert misses == entries, (misses, entries)
+print(f"telemetry: {misses} point misses == {entries} journaled estimates")
 
-# Warm rerun serves everything from the shared cache.
+# Warm rerun serves every point from the memo journal.
 assert warm["summary"]["cache_misses"] == 0, warm["summary"]
-print("shared cache: warm rerun had zero misses")
+assert warm["summary"]["cache_hits"] > 0, warm["summary"]
+print("memo journal: warm rerun had zero point misses")
 
 serial_s, parallel_s = t1 - t0, t2 - t1
 print(f"wall time: serial {serial_s:.2f}s, parallel {parallel_s:.2f}s")

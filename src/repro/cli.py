@@ -6,7 +6,7 @@ The flow as a tool::
     python -m repro explore kernel:fir kernel:mm --parallel --jobs 2
     python -m repro compile kernel:mm --unroll 4,2,1 --print-code
     python -m repro estimate kernel:fir --unroll 8,8 --board nonpipelined
-    python -m repro batch manifest.json --jobs 4 --cache estimates.json \\
+    python -m repro batch manifest.json --jobs 4 --memo-dir memo \\
         --trace trace.jsonl
     python -m repro batch manifest.json --run-dir runs/exp1
     python -m repro trace runs/exp1 --metrics-json metrics.json
@@ -132,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore_cmd.add_argument("--jobs", type=int, default=2, metavar="N",
                              help="worker processes with --parallel "
                                   "(default 2)")
-    explore_cmd.add_argument("--cache", metavar="PATH",
-                             help="shared estimate cache file")
     explore_cmd.add_argument("--trace", metavar="FILE",
                              help="write JSONL telemetry here "
                                   "(--parallel only)")
@@ -213,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="JSON job manifest (omit with --resume)")
     batch_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
                            help="worker processes (1 = serial in-process)")
-    batch_cmd.add_argument("--cache", metavar="PATH",
-                           help="shared estimate cache file")
     batch_cmd.add_argument("--trace", metavar="FILE",
                            help="write JSONL telemetry events here")
     batch_cmd.add_argument("--timeout", type=float, default=None, metavar="S",
@@ -222,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "override; needs --jobs >= 2)")
     batch_cmd.add_argument("--run-dir", metavar="DIR", default=None,
                            help="journal the run here (ledger + manifest "
-                                "snapshot; cache and trace default inside); "
+                                "snapshot; trace and memo default inside); "
                                 "makes the run resumable after a crash")
     batch_cmd.add_argument("--resume", metavar="DIR", default=None,
                            help="resume a journaled run directory: adopt "
@@ -232,10 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="S",
                            help="per-estimator-call deadline in seconds "
                                 "(jobs may override via call_deadline_s)")
-    batch_cmd.add_argument("--cache-max-entries", type=int, default=None,
-                           metavar="N",
-                           help="bound the estimate cache to N entries "
-                                "(LRU eviction)")
     batch_cmd.add_argument("--fault-spec", metavar="FILE", default=None,
                            help="fault-injection spec for chaos testing "
                                 "(see repro.faults)")
@@ -289,21 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="N",
                            help="admission limit: queued jobs beyond this "
                                 "bounce with HTTP 429 (default 64)")
-    serve_cmd.add_argument("--cache", metavar="PATH",
-                           help="shared estimate cache file (default: "
-                                "estimates.json inside --state-dir)")
-    serve_cmd.add_argument("--no-cache", action="store_true",
-                           help="run workers without a shared cache")
     serve_cmd.add_argument("--timeout", type=float, default=None, metavar="S",
                            help="default per-job timeout in seconds "
                                 "(jobs may override)")
     serve_cmd.add_argument("--call-deadline", type=float, default=None,
                            metavar="S",
                            help="per-estimator-call deadline in seconds")
-    serve_cmd.add_argument("--cache-max-entries", type=int, default=None,
-                           metavar="N",
-                           help="bound the estimate cache to N entries "
-                                "(LRU eviction)")
     serve_cmd.add_argument("--fault-spec", metavar="FILE", default=None,
                            help="fault-injection spec for chaos testing "
                                 "(see repro.faults)")
@@ -348,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker_cmd.add_argument("--poll", type=float, default=0.5, metavar="S",
                             help="claim poll interval when idle "
                                  "(default 0.5)")
-    worker_cmd.add_argument("--cache", metavar="PATH", default=None,
-                            help="shared estimate cache file")
     worker_cmd.add_argument("--fault-spec", metavar="FILE", default=None,
                             help="fault-injection spec (heartbeat / "
                                  "worker_kill sites)")
@@ -663,7 +644,7 @@ def _run_explore_parallel(args) -> int:
         "defaults": defaults,
         "jobs": [{"program": spec} for spec in args.program],
     }, source="<explore --parallel>", base_dir=Path.cwd())
-    return _drive_batch(manifest, args.jobs, args.cache, args.trace,
+    return _drive_batch(manifest, args.jobs, args.trace,
                         timeout=None, json_path=None,
                         incremental=args.incremental,
                         memo_dir=args.memo_dir)
@@ -684,31 +665,27 @@ def _run_batch(args) -> int:
             raise ReproError("a manifest is required (or use --resume DIR)")
         manifest = load_manifest(Path(args.manifest))
     return _drive_batch(
-        manifest, args.jobs, args.cache, args.trace,
+        manifest, args.jobs, args.trace,
         timeout=args.timeout, json_path=args.json,
         run_dir=args.resume or args.run_dir, resume=bool(args.resume),
-        call_deadline=args.call_deadline,
-        cache_max_entries=args.cache_max_entries, fault_spec=args.fault_spec,
+        call_deadline=args.call_deadline, fault_spec=args.fault_spec,
         incremental=args.incremental, memo_dir=args.memo_dir,
     )
 
 
-def _drive_batch(manifest, jobs, cache, trace, timeout, json_path,
+def _drive_batch(manifest, jobs, trace, timeout, json_path,
                  run_dir=None, resume=False, call_deadline=None,
-                 cache_max_entries=None, fault_spec=None,
-                 incremental=True, memo_dir=None) -> int:
+                 fault_spec=None, incremental=True, memo_dir=None) -> int:
     from repro.report import batch_summary_table
     from repro.service import run_batch
     result = run_batch(
         manifest,
         workers=jobs,
-        cache_path=Path(cache) if cache else None,
         trace_path=Path(trace) if trace else None,
         default_timeout_s=timeout,
         run_dir=Path(run_dir) if run_dir else None,
         resume=resume,
         call_deadline_s=call_deadline,
-        cache_max_entries=cache_max_entries,
         fault_spec=fault_spec,
         incremental=incremental,
         memo_dir=Path(memo_dir) if memo_dir else None,
@@ -776,14 +753,6 @@ def _run_serve(args) -> int:
     """``repro serve``: run the exploration server until SIGTERM."""
     from repro.server import ExplorationServer
     state_dir = Path(args.state_dir)
-    if args.no_cache and args.cache:
-        raise ReproError("--no-cache and --cache are mutually exclusive")
-    if args.no_cache:
-        cache_path = None
-    elif args.cache:
-        cache_path = Path(args.cache)
-    else:
-        cache_path = state_dir / "estimates.json"
     tenant_policies = None
     if args.tenant_quota:
         from repro.server import parse_tenant_policy
@@ -803,10 +772,8 @@ def _run_serve(args) -> int:
         max_concurrency=args.max_concurrency,
         queue_limit=(args.queue_limit if args.queue_limit is not None
                      else 64),
-        cache_path=cache_path,
         default_timeout_s=args.timeout,
         call_deadline_s=args.call_deadline,
-        cache_max_entries=args.cache_max_entries,
         fault_spec=args.fault_spec,
         fleet=args.fleet,
         lease_ttl_s=(args.lease_ttl if args.lease_ttl is not None
@@ -831,7 +798,6 @@ def _run_worker(args) -> int:
         server=args.server,
         worker_id=worker_id,
         poll_s=max(0.05, args.poll),
-        cache_path=args.cache,
         fault_spec=args.fault_spec,
         max_shards=args.max_shards,
         idle_exit_s=args.idle_exit,

@@ -9,7 +9,6 @@ searched).
 
 from __future__ import annotations
 
-import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
@@ -185,11 +184,12 @@ class ExploreConfig:
         pinned_depths: loops to exclude from unrolling entirely; when
             omitted, loops that add no memory parallelism are pinned
             automatically (the paper fixes MM's innermost loop this way).
-        estimate_cache: pluggable evaluation backend — a
-            :class:`repro.synthesis.EstimateCache` (or compatible
-            object with a ``synthesize(program, board, plan, library)``
-            method) that serves estimates instead of direct synthesis.
-            The batch service passes a process-shared cache here.
+        guard: an :class:`repro.service.guard.EstimationGuard` every
+            backend call runs under (per-call deadline, transient
+            retries, corrupt-estimate validation) — navigation,
+            confirmation, and differential re-estimates alike.  The
+            batch and server workers pass one here; ``None`` calls the
+            backend bare.
         obs: how to observe the run (:class:`repro.obs.ObsConfig`).
             ``None`` leaves the ambient tracer/registry alone — spans
             still flow to whatever an enclosing orchestrator installed.
@@ -212,7 +212,7 @@ class ExploreConfig:
     pipeline: Optional[PipelineOptions] = None
     library: Optional[OperatorLibrary] = None
     pinned_depths: Optional[Tuple[int, ...]] = None
-    estimate_cache: Optional[Any] = None
+    guard: Optional[Any] = None
     obs: Optional[ObsConfig] = None
     backend: Optional[Any] = None
     fidelity: str = "single"
@@ -237,64 +237,11 @@ class ExploreConfig:
     memo_dir: Optional[Any] = None
 
 
-#: Legacy keyword names in their historical positional order, mapped to
-#: the :class:`ExploreConfig` fields that replaced them.
-_LEGACY_EXPLORE_PARAMS = (
-    ("search_options", "search"),
-    ("pipeline_options", "pipeline"),
-    ("library", "library"),
-    ("pinned_depths", "pinned_depths"),
-    ("estimate_cache", "estimate_cache"),
-)
-
-
-def _coerce_legacy_explore(
-    config: Optional[ExploreConfig],
-    args: Tuple[Any, ...],
-    kwargs: dict,
-) -> ExploreConfig:
-    """Fold a pre-redesign ``explore()`` call shape into a config,
-    warning (not breaking) per the deprecation policy."""
-    if config is not None:
-        raise TypeError(
-            "explore() takes either config=ExploreConfig(...) or the "
-            "deprecated individual options, not both"
-        )
-    if len(args) > len(_LEGACY_EXPLORE_PARAMS):
-        raise TypeError(
-            f"explore() takes at most {2 + len(_LEGACY_EXPLORE_PARAMS)} "
-            f"positional arguments"
-        )
-    legacy_names = [name for name, _ in _LEGACY_EXPLORE_PARAMS]
-    merged = dict(zip(legacy_names, args))
-    for key, value in kwargs.items():
-        if key not in legacy_names:
-            raise TypeError(
-                f"explore() got an unexpected keyword argument {key!r}"
-            )
-        if key in merged:
-            raise TypeError(f"explore() got multiple values for {key!r}")
-        merged[key] = value
-    warnings.warn(
-        "passing explore() options individually "
-        f"({sorted(merged)}) is deprecated; pass "
-        "explore(program, board, config=ExploreConfig(...)) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ExploreConfig(**{
-        field_name: merged[legacy]
-        for legacy, field_name in _LEGACY_EXPLORE_PARAMS
-        if legacy in merged
-    })
-
-
 def explore(
     program: Program,
     board: Board,
-    *legacy_args: Any,
+    *,
     config: Optional[ExploreConfig] = None,
-    **legacy_kwargs: Any,
 ) -> ExplorationResult:
     """Run the full DEFACTO design space exploration for one loop nest.
 
@@ -304,11 +251,6 @@ def explore(
         config: every exploration knob, bundled — see
             :class:`ExploreConfig`.
 
-    The pre-redesign call shape (``search_options=``,
-    ``pipeline_options=``, ``library=``, ``pinned_depths=``,
-    ``estimate_cache=``, individually or positionally) still works but
-    raises :class:`DeprecationWarning`.
-
     Returns an :class:`ExplorationResult`; ``result.selected`` carries
     the chosen design (transformed program, layout plan, estimate).
     When ``config.obs`` is enabled, the run's spans and metrics are
@@ -316,8 +258,6 @@ def explore(
     (materialized in place if the caller left them ``None``), and spans
     are additionally appended to ``config.obs.spans_path`` if set.
     """
-    if legacy_args or legacy_kwargs:
-        config = _coerce_legacy_explore(config, legacy_args, legacy_kwargs)
     config = config or ExploreConfig()
     obs = config.obs
     with ExitStack() as stack:
@@ -353,6 +293,8 @@ def explore(
             result.memo_stats = {
                 "hits": memo.hits,
                 "misses": memo.misses,
+                "point_hits": memo.point_hits,
+                "point_misses": memo.point_misses,
                 "invalidations": memo.invalidations,
                 "entries": memo.counts(),
             }
@@ -379,7 +321,7 @@ def _explore(
     # re-created with automatic pins.
     space = DesignSpace(
         program, board, config.pipeline, config.library, config.pinned_depths,
-        estimate_cache=config.estimate_cache, backend=backend,
+        backend=backend, guard=config.guard,
     )
     if config.pinned_depths is None:
         saturation = analyze_saturation(program, board.num_memories)
@@ -390,7 +332,7 @@ def _explore(
         if auto_pins:
             space = DesignSpace(
                 program, board, config.pipeline, config.library, auto_pins,
-                estimate_cache=config.estimate_cache, backend=backend,
+                backend=backend, guard=config.guard,
             )
 
     requested = getattr(search_options, "strategy", None) or DEFAULT_STRATEGY
@@ -419,12 +361,10 @@ def _explore(
     differential = None
     if config.fidelity == "multi":
         confirmation = confirm_selection(
-            result.selected, baseline, board, confirmer, backend,
-            library=space.library, estimate_cache=config.estimate_cache,
+            space, result.selected, baseline, confirmer,
         )
         differential = validate_run(
-            space.evaluated(), board, [backend, confirmer],
-            library=space.library, estimate_cache=config.estimate_cache,
+            space, space.evaluated(), [backend, confirmer],
             samples=config.differential_samples,
             seed=config.differential_seed, kernel=program.name,
         )

@@ -1,4 +1,4 @@
-"""The design space: evaluation, caching, and the exhaustive oracle.
+"""The design space: evaluation, memoization, and the exhaustive oracle.
 
 A design point is an unroll factor vector.  ``DesignSpace`` compiles and
 estimates points on demand with memoization — the paper's headline
@@ -23,11 +23,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.dse.failures import POINT_FAILURES, PointDiagnostic, is_point_failure
 from repro.incremental.delta import delta_for
 from repro.incremental.hashing import context_fingerprint, point_key, program_hash
-from repro.incremental.memo import current_memo
+from repro.incremental.memo import current_memo, decode_estimate, encode_estimate
 from repro.obs import current_registry, current_tracer
 from repro.ir.nest import LoopNest
 from repro.ir.symbols import Program
-from repro.synthesis.estimator import Estimate, synthesize
+from repro.synthesis.estimator import Estimate
 from repro.synthesis.operators import OperatorLibrary, default_library
 from repro.target.board import Board
 from repro.transform.pipeline import CompiledDesign, PipelineOptions, compile_design
@@ -98,8 +98,8 @@ class DesignSpace:
         options: Optional[PipelineOptions] = None,
         library: Optional[OperatorLibrary] = None,
         pinned_depths: Optional[Tuple[int, ...]] = None,
-        estimate_cache: Optional["EstimateCache"] = None,
         backend=None,
+        guard=None,
     ):
         from repro.estimate.backends import get_backend
         self.program = program
@@ -109,20 +109,22 @@ class DesignSpace:
         self.nest = LoopNest(program)
         #: depths forced to factor 1 (loops that add no memory parallelism).
         self.pinned_depths = tuple(pinned_depths or ())
-        #: optional persistent cache (repro.synthesis.EstimateCache); the
-        #: in-memory memoization below always applies on top.
-        self.estimate_cache = estimate_cache
         #: which estimation model answers (repro.estimate.EstimatorBackend);
         #: ``None`` resolves to the analytic default.
         self.backend = get_backend(backend)
+        #: optional :class:`repro.service.guard.EstimationGuard` every
+        #: backend call runs under (deadline, retries, validation).
+        self.guard = guard
+        #: every point this space evaluated — ``points_searched``, the
+        #: paper's fraction-searched metric, counts these.
         self._cache: Dict[Tuple[int, ...], DesignEvaluation] = {}
         #: per-point failure diagnostics, keyed like the success cache.
         #: Failures are *not* memoized (an injected or flaky backend can
         #: recover, and re-raising a deterministic error is cheap); a
         #: point that later succeeds drops its stale diagnostic.
         self._infeasible: Dict[Tuple[int, ...], PointDiagnostic] = {}
-        #: lazy context fingerprint for incremental point-memo keys.
-        self._memo_context: Optional[str] = None
+        #: context fingerprints for point-memo keys, per backend id.
+        self._memo_contexts: Dict[str, str] = {}
 
     # -- evaluation ----------------------------------------------------------
 
@@ -186,9 +188,7 @@ class DesignSpace:
             span.set_attribute("incremental", "off")
             design, estimate = self._compute(unroll)
             return DesignEvaluation(unroll, design, estimate)
-        pkey = point_key(
-            program_hash(self.program), unroll.factors, self._context()
-        )
+        pkey = self._point_key(unroll, self.backend.id)
         with memo.begin_point() as stats:
             entry = memo.point_get(pkey)
             estimate = self._decode_point(memo, entry)
@@ -202,9 +202,8 @@ class DesignSpace:
                     ),
                 )
             else:
-                from repro.synthesis.cache import _encode
                 design, estimate = self._compute(unroll)
-                memo.point_put(pkey, _encode(estimate))
+                memo.point_put(pkey, encode_estimate(estimate))
                 evaluation = DesignEvaluation(unroll, design, estimate)
                 span.set_attribute("incremental", "miss")
                 delta = delta_for(memo)
@@ -221,26 +220,32 @@ class DesignSpace:
         design = compile_design(
             self.program, unroll, self.board.num_memories, self.options
         )
-        if self.estimate_cache is not None:
-            estimate = self.estimate_cache.synthesize(
-                design.program, self.board, design.plan,
-                self.library, backend=self.backend,
-            )
-        else:
-            with current_tracer().span(
-                "estimate.call", backend=self.backend.id
-            ):
-                estimate = self.backend.estimate(
-                    design.program, self.board, design.plan, self.library,
-                )
-        return design, estimate
+        return design, self.estimate(design)
 
-    def _context(self) -> str:
-        if self._memo_context is None:
-            self._memo_context = context_fingerprint(
-                self.board, self.library, self.options, self.backend.id
+    def estimate(self, design: CompiledDesign, backend=None) -> Estimate:
+        """The one backend call: estimate ``design`` on ``backend``
+        (default: this space's navigation backend).
+
+        Under a guard the call gets its deadline, transient retries, and
+        corrupt-estimate validation; either way it records one
+        ``estimate.call`` span.  Nothing here memoizes — callers own the
+        point-domain lookup, so a failure is never stored.
+        """
+        backend = self.backend if backend is None else backend
+        args = (design.program, self.board, design.plan, self.library)
+        if self.guard is not None:
+            return self.guard.call(backend.estimate, *args, backend=backend.id)
+        with current_tracer().span("estimate.call", backend=backend.id):
+            return backend.estimate(*args)
+
+    def _point_key(self, unroll: UnrollVector, backend_id: str) -> str:
+        context = self._memo_contexts.get(backend_id)
+        if context is None:
+            context = context_fingerprint(
+                self.board, self.library, self.options, backend_id
             )
-        return self._memo_context
+            self._memo_contexts[backend_id] = context
+        return point_key(program_hash(self.program), unroll.factors, context)
 
     @staticmethod
     def _decode_point(memo, entry) -> Optional[Estimate]:
@@ -249,9 +254,8 @@ class DesignSpace:
         point re-runs from scratch."""
         if entry is None:
             return None
-        from repro.synthesis.cache import _decode
         try:
-            return _decode(entry)
+            return decode_estimate(entry)
         except (KeyError, TypeError, ValueError):
             memo.invalidate(reason="undecodable")
             return None
@@ -269,25 +273,27 @@ class DesignSpace:
             return None
 
     def reestimate(self, evaluation: DesignEvaluation, backend) -> Estimate:
-        """Re-estimate an already-compiled point on another backend.
+        """Re-estimate an evaluated point on another backend.
 
-        Bypasses the per-point memoization (which is keyed on this
-        space's navigation backend) so a strategy can confirm a design
-        on a higher-fidelity model mid-walk without poisoning the cache.
-        Point failures propagate as the usual typed estimation errors.
+        Leaves :attr:`points_evaluated` alone (confirmation is not
+        search effort).  With an ambient memo the lookup goes through
+        the point domain under the *confirming* backend's context, so a
+        repeat confirmation is a hit, a navigation entry is never served
+        to it, and a hit skips compiling a deferred design.  Point
+        failures propagate as the usual typed estimation errors and are
+        never memoized.
         """
         from repro.estimate.backends import get_backend
         confirmer = get_backend(backend)
-        design = evaluation.design
-        if self.estimate_cache is not None:
-            return self.estimate_cache.synthesize(
-                design.program, self.board, design.plan, self.library,
-                backend=confirmer,
-            )
-        with current_tracer().span("estimate.call", backend=confirmer.id):
-            return confirmer.estimate(
-                design.program, self.board, design.plan, self.library
-            )
+        memo = current_memo()
+        if memo is None:
+            return self.estimate(evaluation.design, confirmer)
+        pkey = self._point_key(evaluation.unroll, confirmer.id)
+        estimate = self._decode_point(memo, memo.point_get(pkey))
+        if estimate is None:
+            estimate = self.estimate(evaluation.design, confirmer)
+            memo.point_put(pkey, encode_estimate(estimate))
+        return estimate
 
     @property
     def points_evaluated(self) -> int:

@@ -1,10 +1,11 @@
 """Durable-state substrate: checksummed segmented journals + fsck.
 
-``repro.durable.journal`` is the write/replay layer both long-lived
-journals (the server's job store, the batch run ledger) sit on;
-``repro.durable.fsck`` is the offline inspection/repair toolkit behind
-the ``repro fsck`` CLI verb.  See DESIGN.md §6.8 for the on-disk format
-and the corruption taxonomy.
+``repro.durable.journal`` is the write/replay layer the long-lived
+journals (the server's job store, the batch run ledger, the memo
+journal) sit on; ``repro.durable.lock`` serializes writers of a journal
+shared between processes; ``repro.durable.fsck`` is the offline
+inspection/repair toolkit behind the ``repro fsck`` CLI verb.  See
+DESIGN.md §6.8 for the on-disk format and the corruption taxonomy.
 """
 
 from repro.durable.journal import (
@@ -23,6 +24,7 @@ from repro.durable.journal import (
     segment_paths,
     verify_line,
 )
+from repro.durable.lock import FileLock
 from repro.durable.fsck import (
     JournalReport,
     RepairReport,
@@ -40,6 +42,7 @@ __all__ = [
     "SNAPSHOT_EVENT",
     "DamagedRecord",
     "DurableJournal",
+    "FileLock",
     "JournalReport",
     "JournalScan",
     "RepairReport",

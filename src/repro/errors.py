@@ -321,7 +321,7 @@ class DeadlineExceeded(TransientError):
 
 
 class CacheLockTimeout(ReproError, TimeoutError):
-    """The shared estimate cache's file lock could not be acquired.
+    """A shared journal's file lock could not be acquired in time.
 
     A live-but-hung peer can hold the flock indefinitely; rather than
     blocking the worker forever, acquisition times out with this typed

@@ -68,9 +68,9 @@ class Provenance:
         backend: registered backend id (``analytic``/``interp``/...).
         fidelity: the backend's authority rank (higher = more trusted).
         cache_key: content hash of everything the estimate depends on,
-            *including* the backend id — the estimate-cache key, so a
-            cached estimate can never be served to a different backend's
-            request.
+            *including* the backend id
+            (:func:`repro.incremental.hashing.design_key`), so two
+            backends' estimates of one design never share a key.
         details: small primitive facts the backend measured along the
             way (dynamic memory ops, clock degradation, ...), as a
             sorted key/value tuple so the record stays hashable and
@@ -160,11 +160,9 @@ class EstimatorBackend:
         library: Optional[OperatorLibrary] = None,
     ) -> str:
         """Content hash covering the design *and* this backend's id."""
-        from repro.synthesis.cache import EstimateCache
+        from repro.incremental.hashing import design_key
         library = library or default_library(board.clock_ns)
-        return EstimateCache.fingerprint(
-            program, board, plan, library, backend=self.id
-        )
+        return design_key(program, board, plan, library, self.id)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(id={self.id!r}, fidelity={self.fidelity})"

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.dse.failures import POINT_FAILURES
 from repro.estimate.backends import EstimatorBackend, get_backend
-from repro.obs import current_registry, current_tracer
+from repro.obs import current_registry
 from repro.report import Table
 from repro.synthesis.estimator import Estimate
 
@@ -135,12 +135,10 @@ class DifferentialReport:
 
 
 def validate_run(
+    space: Any,
     evaluations: Sequence[Any],
-    board: Any,
     backends: Sequence[Any],
     *,
-    library: Any = None,
-    estimate_cache: Any = None,
     samples: int = 6,
     seed: int = 0,
     kernel: str = "",
@@ -149,12 +147,13 @@ def validate_run(
     """Differentially validate one run's visited points.
 
     ``evaluations`` are the run's :class:`~repro.dse.space.DesignEvaluation`
-    records (each carries the compiled design for re-estimation and the
-    estimate the navigation backend produced).  The first entry of
-    ``backends`` is the backend that produced those estimates — its
+    records from ``space`` (each carries the design for re-estimation
+    and the estimate the navigation backend produced).  The first entry
+    of ``backends`` is the backend that produced those estimates — its
     column is reused, not recomputed; every other backend re-estimates
-    the sampled designs (through ``estimate_cache`` when given, so
-    repeated validation is cheap).
+    the sampled designs through ``space.reestimate`` (memoized in the
+    point domain when a memo is ambient, so repeated validation is
+    cheap).
     """
     resolved: List[EstimatorBackend] = []
     for spec in backends:
@@ -180,9 +179,7 @@ def validate_run(
                 column.append(evaluation.estimate)
                 continue
             try:
-                column.append(_estimate(
-                    backend, evaluation.design, board, library, estimate_cache
-                ))
+                column.append(space.reestimate(evaluation, backend))
             except POINT_FAILURES as error:
                 failures.append(
                     f"{backend.id} U={evaluation.unroll}: {error}"
@@ -223,15 +220,6 @@ def validate_run(
         violations=tuple(violations),
         failures=tuple(failures),
     )
-
-
-def _estimate(backend, design, board, library, estimate_cache) -> Estimate:
-    if estimate_cache is not None:
-        return estimate_cache.synthesize(
-            design.program, board, design.plan, library, backend=backend
-        )
-    with current_tracer().span("estimate.call", backend=backend.id):
-        return backend.estimate(design.program, board, design.plan, library)
 
 
 def _rank_agreement(

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.dse.failures import POINT_FAILURES
-from repro.estimate.backends import EstimatorBackend, get_backend
-from repro.obs import current_tracer
+from repro.estimate.backends import get_backend
 from repro.synthesis.estimator import Estimate
 
 
@@ -76,35 +75,31 @@ class ConfirmationResult:
 
 
 def confirm_selection(
+    space: Any,
     selected: Any,
     baseline: Any,
-    board: Any,
     backend: Any,
-    navigation_backend: Any,
-    *,
-    library: Any = None,
-    estimate_cache: Any = None,
 ) -> ConfirmationResult:
     """Re-estimate ``selected`` (and ``baseline``, when distinct) on the
-    confirmation backend.
+    confirmation backend via ``space.reestimate``.
 
-    ``selected``/``baseline`` are :class:`~repro.dse.space.DesignEvaluation`
-    records; ``baseline`` may be ``None`` or the same evaluation as
-    ``selected`` (the degraded-baseline case), in which case only the
-    selection is confirmed.
+    ``space`` is the :class:`~repro.dse.space.DesignSpace` the walk
+    navigated (its backend is the navigation backend);
+    ``selected``/``baseline`` are its
+    :class:`~repro.dse.space.DesignEvaluation` records.  ``baseline`` may
+    be ``None`` or the same evaluation as ``selected`` (the
+    degraded-baseline case), in which case only the selection is
+    confirmed.
     """
     confirmer = get_backend(backend)
-    navigator = get_backend(navigation_backend)
     result = ConfirmationResult(
         backend=confirmer.id,
-        navigation_backend=navigator.id,
+        navigation_backend=space.backend.id,
         navigation_selected=selected.estimate,
         selected=None,
     )
     try:
-        result.selected = _estimate(
-            confirmer, selected.design, board, library, estimate_cache
-        )
+        result.selected = space.reestimate(selected, confirmer)
     except POINT_FAILURES as error:
         result.error = f"selected design: {error}"
         return result
@@ -112,20 +107,7 @@ def confirm_selection(
         return result
     result.navigation_baseline = baseline.estimate
     try:
-        result.baseline = _estimate(
-            confirmer, baseline.design, board, library, estimate_cache
-        )
+        result.baseline = space.reestimate(baseline, confirmer)
     except POINT_FAILURES as error:
         result.error = f"baseline design: {error}"
     return result
-
-
-def _estimate(
-    backend: EstimatorBackend, design, board, library, estimate_cache
-) -> Estimate:
-    if estimate_cache is not None:
-        return estimate_cache.synthesize(
-            design.program, board, design.plan, library, backend=backend
-        )
-    with current_tracer().span("estimate.call", backend=backend.id):
-        return backend.estimate(design.program, board, design.plan, library)

@@ -18,7 +18,6 @@ A spec looks like::
         {"site": "estimator", "mode": "hang", "seconds": 30.0},
         {"site": "estimate", "mode": "corrupt"},
         {"site": "worker", "mode": "kill"},
-        {"site": "cache_write", "mode": "io_error"},
         {"site": "telemetry_write", "mode": "io_error", "p": 0.5},
         {"site": "ledger_write", "mode": "io_error"}
       ]
@@ -35,7 +34,6 @@ asserts over):
                     design points)
 ``estimator``       inside the guard, around each backend ``synthesize`` call
 ``estimate``        the returned estimate value (``mangle`` site)
-``cache_write``     :meth:`SharedEstimateCache.save` / ``EstimateCache.save``
 ``telemetry_write`` each JSONL trace append
 ``ledger_write``    each run-ledger append
 ``server``          the exploration server's dispatch loop, once per
@@ -55,7 +53,7 @@ asserts over):
                     defers the rehoming to the next lease sweep instead
                     of losing the shard
 ``disk_full``       before every durable-journal append (key = the
-                    journal prefix, ``jobs`` or ``ledger``); an
+                    journal prefix: ``jobs``, ``ledger``, or ``memo``); an
                     ``io_error`` rule turns the append into ENOSPC,
                     which the job store degrades into read-only mode
 ``journal_bitflip`` the serialized journal line (``mangle`` site, key =

@@ -13,8 +13,8 @@ Layout:
 * :mod:`~repro.incremental.hashing` — the content-hash keys (program,
   context, point, region fingerprints)
 * :mod:`~repro.incremental.memo` — the :class:`MemoStore` domains,
-  hit/miss/invalidation counters, and the ambient :func:`use_memo`
-  context the pipeline and estimator consult
+  hit/miss/invalidation counters, the estimate and schedule codecs, and
+  the ambient :func:`use_memo` context the pipeline and estimator consult
 * :mod:`~repro.incremental.journal` — the persistent, flock-guarded,
   CRC-framed cross-run memo journal (``memo.jsonl`` segments)
 * :mod:`~repro.incremental.delta` — structural region deltas between
@@ -34,24 +34,18 @@ from repro.incremental.memo import (
     MemoStore,
     PointStats,
     current_memo,
+    decode_estimate,
     decode_schedule,
+    encode_estimate,
     encode_schedule,
     use_memo,
 )
-
-#: Journal names re-exported lazily (PEP 562): the journal pulls in the
-#: durable and shared-cache layers, which transitively import the
-#: estimator — and the estimator consults this package.  Deferring the
-#: import keeps ``from repro.incremental.memo import current_memo``
-#: legal from anywhere in the synthesis stack.
-_JOURNAL_NAMES = ("MEMO_EVENT", "MEMO_PREFIX", "MemoJournal", "open_memo")
-
-
-def __getattr__(name: str):
-    if name in _JOURNAL_NAMES:
-        from repro.incremental import journal
-        return getattr(journal, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.incremental.journal import (
+    MEMO_EVENT,
+    MEMO_PREFIX,
+    MemoJournal,
+    open_memo,
+)
 
 __all__ = [
     "MEMO_DOMAINS",
@@ -63,8 +57,10 @@ __all__ = [
     "RegionDelta",
     "context_fingerprint",
     "current_memo",
+    "decode_estimate",
     "decode_schedule",
     "delta_for",
+    "encode_estimate",
     "encode_schedule",
     "open_memo",
     "point_key",

@@ -1,9 +1,7 @@
 """Content hashing for the incremental-evaluation memo store.
 
 Every memo domain keys on a SHA-256 over the *complete* set of inputs
-the memoized computation reads — the same discipline
-:meth:`repro.synthesis.cache.EstimateCache.fingerprint` established for
-whole-design estimates, pushed down to the units the incremental layer
+the memoized computation reads, down to the units the incremental layer
 reuses:
 
 * **Programs** (:func:`program_hash`) — the printed IR.  Printing is
@@ -20,6 +18,10 @@ reuses:
 * **Design points** (:func:`point_key`) — source program x unroll
   vector x context: the key under which a finished estimate is valid
   *across points, runs, and workers*.
+* **Compiled designs** (:func:`design_key`) — printed IR x board x
+  library x layout binding x backend: the provenance key stamped on
+  every estimate, so a number in a report names exactly what produced
+  it.
 * **Regions** (:func:`region_fingerprint`) — one straight-line region's
   statements plus everything :func:`repro.synthesis.scheduling.
   schedule_region` reads: the layout binding, index widths, memory
@@ -118,6 +120,37 @@ def point_key(source_hash: str, factors: Tuple[int, ...],
     )))
 
 
+def _binding_parts(physical: Dict[str, int],
+                   interleaved: Dict[str, Any]) -> Tuple[str, str]:
+    """A layout binding (array -> memory, interleaving specs) as text."""
+    return (
+        json.dumps(sorted(physical.items())),
+        json.dumps(sorted(
+            (name, spec.dim, spec.modulus, list(spec.memories))
+            for name, spec in interleaved.items()
+        )),
+    )
+
+
+def design_key(program: Program, board, plan, library,
+               backend_id: str) -> str:
+    """The content hash behind ``Provenance.cache_key``.
+
+    The analytic backend's key carries no backend part, so its digests
+    match the format that predates pluggable backends; every other
+    backend appends its id and can never share a key with analytic.
+    """
+    parts = [
+        print_program(program), board_fingerprint(board),
+        library_fingerprint(library),
+    ]
+    if plan is not None:
+        parts.extend(_binding_parts(plan.physical, plan.interleaved))
+    if backend_id != "analytic":
+        parts.append(f"backend={backend_id}")
+    return sha(_SEP.join(parts))
+
+
 def schedule_context(
     physical: Dict[str, int],
     interleaved: Dict[str, Any],
@@ -129,11 +162,7 @@ def schedule_context(
     """The non-IR half of a region fingerprint: the layout binding and
     machine facts :func:`schedule_region` consults."""
     parts = [
-        json.dumps(sorted(physical.items())),
-        json.dumps(sorted(
-            (name, spec.dim, spec.modulus, list(spec.memories))
-            for name, spec in interleaved.items()
-        )),
+        *_binding_parts(physical, interleaved),
         json.dumps(sorted(index_widths.items())),
         str(memory.read_latency), str(memory.write_latency),
         str(memory.pipelined),

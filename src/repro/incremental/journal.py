@@ -19,8 +19,8 @@ plus the substrate's ``journal_snapshot`` records written by
 compaction, whose ``state`` holds the full entry map.
 
 **Write policy.**  Appends are *buffered* and flushed in batch (end of
-an exploration, end of a worker job) under the same flock-guarded
-discipline as the shared estimate cache — ``DurableJournal.append``
+an exploration, end of a worker job) under one flock-guarded
+:class:`~repro.durable.lock.FileLock` — ``DurableJournal.append``
 fsyncs every record, so journaling inline with evaluation would cost
 more than the work the memo saves.  A lost buffer is harmless: memo
 entries are re-learnable, so the journal is best-effort durable where
@@ -52,7 +52,7 @@ from repro.durable.journal import (
     scan_journal,
     segment_paths,
 )
-from repro.service.shared_cache import FileLock
+from repro.durable.lock import FileLock
 
 #: The journal's segment prefix (``memo.jsonl``, ``memo.0001.jsonl``, …).
 MEMO_PREFIX = "memo"

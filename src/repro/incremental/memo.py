@@ -28,15 +28,18 @@ site degrades to the from-scratch path.
 
 **Equivalence contract.**  A memo hit must be indistinguishable from
 recomputation: keys cover all inputs, the memoized computations are
-deterministic, and values round-trip through the same JSON codecs the
-persistent estimate cache uses.  The property suite
+deterministic, and values round-trip through the JSON codecs below
+(:func:`encode_estimate`, :func:`encode_schedule`).  The property suite
 (``tests/property/test_prop_incremental.py``) pins estimates and
 selections bit-identical for every kernel x strategy combination.
 
 **Counters.**  ``incremental.memo.{hits,misses,invalidations}`` and
 ``incremental.delta.reused_regions`` are registered at zero on
 construction so ``/metrics`` always exposes them; per-domain series
-(``incremental.memo.hits{domain=...}``) ride alongside.
+(``incremental.memo.hits{domain=...}``) ride alongside.  The point
+domain's own tallies (:attr:`MemoStore.point_hits` /
+:attr:`MemoStore.point_misses`) are what job payloads report as
+``cache_hits`` / ``cache_misses``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,67 @@ from repro.obs import current_registry
 
 #: journal record vocabulary (see :mod:`repro.incremental.journal`).
 MEMO_DOMAINS = ("point", "legality", "verify", "schedule")
+
+
+def encode_estimate(estimate) -> dict:
+    """A :class:`~repro.synthesis.estimator.Estimate` as plain JSON-able
+    primitives (the ``point`` domain's value format)."""
+    record = {
+        "cycles": estimate.cycles,
+        "space": estimate.space,
+        "area": estimate.area.as_dict(),
+        "fetch_rate": estimate.fetch_rate,
+        "consumption_rate": estimate.consumption_rate,
+        "balance": estimate.balance,
+        "operator_demand": [
+            [kind, width, count]
+            for (kind, width), count in sorted(estimate.operator_demand.items())
+        ],
+        "memory_traffic": sorted(estimate.memory_traffic.items()),
+        "register_bits": estimate.register_bits,
+        "region_count": estimate.region_count,
+        "clock_ns": estimate.clock_ns,
+    }
+    provenance = estimate.provenance
+    if provenance is not None and hasattr(provenance, "as_dict"):
+        record["provenance"] = provenance.as_dict()
+    return record
+
+
+def decode_estimate(entry: dict):
+    """Inverse of :func:`encode_estimate`; raises ``KeyError``/
+    ``TypeError``/``ValueError`` on a malformed entry."""
+    from repro.estimate.backends import Provenance
+    from repro.synthesis.area import AreaBreakdown
+    from repro.synthesis.estimator import Estimate
+    area = entry["area"]
+    provenance = None
+    if isinstance(entry.get("provenance"), dict):
+        provenance = Provenance.from_dict(entry["provenance"])
+    return Estimate(
+        cycles=entry["cycles"],
+        space=entry["space"],
+        area=AreaBreakdown(
+            operators=area["operators"],
+            registers=area["registers"],
+            memory_interface=area["memory_interface"],
+            controller=area["controller"],
+        ),
+        # json writes inf as Infinity, which json.loads reads back as
+        # float('inf'); float() also accepts the spelled-out strings.
+        fetch_rate=float(entry["fetch_rate"]),
+        consumption_rate=float(entry["consumption_rate"]),
+        balance=float(entry["balance"]),
+        operator_demand={
+            (kind, width): count
+            for kind, width, count in entry["operator_demand"]
+        },
+        memory_traffic={int(m): count for m, count in entry["memory_traffic"]},
+        register_bits=entry["register_bits"],
+        region_count=entry["region_count"],
+        clock_ns=entry["clock_ns"],
+        provenance=provenance,
+    )
 
 
 def encode_schedule(schedule) -> dict:
@@ -114,6 +178,8 @@ class MemoStore:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
+        self.point_hits = 0
+        self.point_misses = 0
         self._point_stats: Optional[PointStats] = None
         #: region fingerprints of the previous evaluated point, for the
         #: structural-delta span attributes (see repro.incremental.delta).
@@ -168,7 +234,12 @@ class MemoStore:
 
     def point_get(self, key: str) -> Optional[dict]:
         entry = self._points.get(key)
-        self._hit("point") if entry is not None else self._miss("point")
+        if entry is not None:
+            self.point_hits += 1
+            self._hit("point")
+        else:
+            self.point_misses += 1
+            self._miss("point")
         return entry
 
     def point_put(self, key: str, encoded_estimate: dict) -> None:

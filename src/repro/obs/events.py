@@ -133,6 +133,7 @@ class JobFinish(EventBase):
     design_space_size: Optional[int] = None
     cache_hits: Optional[int] = None
     cache_misses: Optional[int] = None
+    #: no longer emitted; declared so older run dirs still validate.
     cache_evictions: Optional[int] = None
     cache_save_error: Optional[str] = None
     estimator_retries: Optional[int] = None

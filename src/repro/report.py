@@ -145,8 +145,6 @@ def batch_summary_table(summary: Dict[str, object],
         table.add_row("estimator retries", summary["estimator_retries"])
     if summary.get("deadline_hits"):
         table.add_row("deadline hits", summary["deadline_hits"])
-    if summary.get("cache_evictions"):
-        table.add_row("cache evictions", summary["cache_evictions"])
     if summary.get("infeasible_points"):
         table.add_row("infeasible points", summary["infeasible_points"])
     if summary.get("baselines_degraded"):

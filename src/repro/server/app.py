@@ -70,10 +70,8 @@ class ExplorationServer:
         workers: int = 2,
         max_concurrency: Optional[int] = None,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
-        cache_path: Optional[Path] = None,
         default_timeout_s: Optional[float] = None,
         call_deadline_s: Optional[float] = None,
-        cache_max_entries: Optional[int] = None,
         fault_spec: Optional[str] = None,
         worker: Callable[..., Dict[str, Any]] = execute_job,
         executor_factory: Optional[Callable[[int], Any]] = None,
@@ -133,10 +131,8 @@ class ExplorationServer:
             worker=worker,
             workers=workers,
             max_concurrency=max_concurrency,
-            cache_path=cache_path,
             default_timeout_s=default_timeout_s,
             call_deadline_s=call_deadline_s,
-            cache_max_entries=cache_max_entries,
             fault_spec=fault_spec,
             executor_factory=executor_factory,
             spans_path=self.state_dir / "spans.jsonl",

@@ -197,8 +197,7 @@ def plan_shards(spec: JobSpec, submission_hash: str,
 # Shard execution (runs on workers)
 # ---------------------------------------------------------------------------
 
-def execute_shard(payload: Mapping[str, Any],
-                  cache_path: Optional[str] = None) -> Dict[str, Any]:
+def execute_shard(payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Evaluate one shard's points; returns a primitives-only dict.
 
     The ``worker_kill`` fault site fires here, keyed by shard id, which
@@ -212,7 +211,7 @@ def execute_shard(payload: Mapping[str, Any],
     faults.check("worker_kill", key=shard_id)
 
     if payload.get("mode") == "walk":
-        return _execute_walk_shard(payload, cache_path)
+        return _execute_walk_shard(payload)
 
     spec = JobSpec.from_payload(payload["spec"])
     program, kernel = load_program(spec.program)
@@ -221,15 +220,7 @@ def execute_shard(payload: Mapping[str, Any],
     from contextlib import ExitStack
     from repro.dse.space import DesignSpace
     from repro.transform.unroll import UnrollVector
-    cache = None
-    if cache_path:
-        from pathlib import Path
-        from repro.service.shared_cache import SharedEstimateCache
-        cache = SharedEstimateCache(Path(cache_path))
-    space = DesignSpace(
-        program, board, options,
-        estimate_cache=cache, backend=spec.backend,
-    )
+    space = DesignSpace(program, board, options, backend=spec.backend)
     started = time.perf_counter()
     evaluated: List[Dict[str, Any]] = []
     memo = None
@@ -255,12 +246,6 @@ def execute_shard(payload: Mapping[str, Any],
                 "balance": evaluation.balance,
                 "fits": evaluation.estimate.fits(board),
             })
-    if cache is not None:
-        from repro.errors import CacheLockTimeout
-        try:
-            cache.save()
-        except (CacheLockTimeout, OSError):
-            pass  # estimates re-learned later; the shard result stands
     out = {
         "shard_id": shard_id,
         "job_id": payload.get("job_id", spec.id),
@@ -280,8 +265,7 @@ def execute_shard(payload: Mapping[str, Any],
     return out
 
 
-def _execute_walk_shard(payload: Mapping[str, Any],
-                        cache_path: Optional[str]) -> Dict[str, Any]:
+def _execute_walk_shard(payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Run a job's full sequential search as one shard.
 
     Non-partitionable strategies keep their walk state on one worker;
@@ -296,11 +280,6 @@ def _execute_walk_shard(payload: Mapping[str, Any],
     program, kernel = load_program(spec.program)
     board = resolve_board(spec.board)
     search_options, pipeline_options = build_options(spec, kernel)
-    cache = None
-    if cache_path:
-        from pathlib import Path
-        from repro.service.shared_cache import SharedEstimateCache
-        cache = SharedEstimateCache(Path(cache_path))
     from pathlib import Path
     from repro.dse import DEFAULT_STRATEGY, ExploreConfig, explore
     memo_dir = runtime.get("memo_dir")
@@ -308,18 +287,11 @@ def _execute_walk_shard(payload: Mapping[str, Any],
     result = explore(program, board, config=ExploreConfig(
         search=search_options,
         pipeline=pipeline_options,
-        estimate_cache=cache,
         backend=spec.backend,
         fidelity=spec.fidelity,
         incremental=bool(runtime.get("incremental", True)),
         memo_dir=Path(memo_dir) if memo_dir else None,
     ))
-    if cache is not None:
-        from repro.errors import CacheLockTimeout
-        try:
-            cache.save()
-        except (CacheLockTimeout, OSError):
-            pass  # estimates re-learned later; the walk result stands
     out: Dict[str, Any] = {
         "shard_id": shard_id,
         "job_id": payload.get("job_id", spec.id),
@@ -781,7 +753,6 @@ class WorkerOptions:
     server: str
     worker_id: str
     poll_s: float = 0.5
-    cache_path: Optional[str] = None
     fault_spec: Optional[str] = None
     #: exit after this many shards (None = run until idle_exit_s).
     max_shards: Optional[int] = None
@@ -890,7 +861,7 @@ class FleetWorker:
                     if self.options.memo_dir:
                         runtime["memo_dir"] = self.options.memo_dir
                     shard["runtime"] = runtime
-                result = execute_shard(shard, cache_path=self.options.cache_path)
+                result = execute_shard(shard)
                 try:
                     post_shard_result(
                         self.options.server, self.options.worker_id,

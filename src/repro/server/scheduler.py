@@ -7,7 +7,7 @@ spawns a task that drives that job to a terminal state.  Execution
 itself reuses the batch engine's worker function
 (:func:`repro.service.worker.execute_job`) on a ``concurrent.futures``
 process pool, so a server job and a batch job run byte-identical code —
-same estimation guard, same shared-cache discipline, same typed failure
+same estimation guard, same shared memo journal, same typed failure
 taxonomy (:class:`~repro.service.runner.JobFailure` is imported, not
 reimplemented).
 
@@ -79,9 +79,8 @@ class Scheduler:
             which is what the unit tests want for stub workers.
         max_concurrency: jobs in flight at once (defaults to
             ``max(1, workers)``).
-        cache_path: shared estimate cache file handed to every worker.
-        default_timeout_s / call_deadline_s / cache_max_entries /
-            fault_spec: per-job runtime knobs, as on the batch runner.
+        default_timeout_s / call_deadline_s / fault_spec: per-job
+            runtime knobs, as on the batch runner.
         executor_factory: builds the pool from a worker count —
             injectable so tests can substitute a thread pool.
     """
@@ -93,10 +92,8 @@ class Scheduler:
         worker: Callable[..., Dict[str, Any]] = execute_job,
         workers: int = 2,
         max_concurrency: Optional[int] = None,
-        cache_path: Optional[Path] = None,
         default_timeout_s: Optional[float] = None,
         call_deadline_s: Optional[float] = None,
-        cache_max_entries: Optional[int] = None,
         fault_spec: Optional[str] = None,
         executor_factory: Optional[Callable[[int], Any]] = None,
         spans_path: Optional[Path] = None,
@@ -110,10 +107,8 @@ class Scheduler:
         self.max_concurrency = max(
             1, max_concurrency if max_concurrency is not None else self.workers
         )
-        self.cache_path = str(cache_path) if cache_path else None
         self.default_timeout_s = default_timeout_s
         self.call_deadline_s = call_deadline_s
-        self.cache_max_entries = cache_max_entries
         self.fault_spec = fault_spec
         self.incremental = bool(incremental)
         self.memo_dir = str(memo_dir) if memo_dir else None
@@ -267,9 +262,7 @@ class Scheduler:
         if executor is None:
             executor = self._ensure_serial()
         payload = self._payload(job.spec)
-        pool_future = executor.submit(
-            self.worker, payload, self.cache_path
-        )
+        pool_future = executor.submit(self.worker, payload)
         future = asyncio.wrap_future(pool_future)
         timeout_s = (
             job.spec.timeout_s
@@ -298,8 +291,6 @@ class Scheduler:
         deadline = spec.call_deadline_s or self.call_deadline_s
         if deadline is not None:
             runtime["call_deadline_s"] = deadline
-        if self.cache_max_entries is not None:
-            runtime["cache_max_entries"] = self.cache_max_entries
         if self.fault_spec is not None:
             runtime["fault_spec"] = self.fault_spec
         if not self.incremental:

@@ -18,12 +18,14 @@ therefore never calls ``synthesize`` bare; every call goes through an
   jitter so a fleet of workers retrying the same sick backend does not
   stampede in phase.  Backoff changes wall time only, never results.
 * **Validation**: the returned estimate is structurally checked before
-  it can reach the search or the cache; garbage (negative cycles, NaN
+  it can reach the search or the memo; garbage (negative cycles, NaN
   balance) raises :class:`~repro.errors.CorruptEstimate` — a permanent,
   typed failure instead of a wrong design selection.
 
-The guard hooks in through :meth:`EstimateCache._synthesize_miss`, so
-cache hits pay nothing and both cache classes share one code path.
+The guard rides :attr:`ExploreConfig.guard <repro.dse.ExploreConfig>`
+into :meth:`repro.dse.space.DesignSpace.estimate`, the one place a
+backend is called, so point-memo hits pay nothing and navigation,
+confirmation, and differential re-estimates share one code path.
 Fault-injection sites ``estimator`` (before the call, inside the
 deadline window) and ``estimate`` (the returned value) live here.
 """
@@ -31,19 +33,15 @@ deadline window) and ``estimate`` (the returned value) live here.
 from __future__ import annotations
 
 import math
-import os
 import random
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro import faults
 from repro.errors import CorruptEstimate, DeadlineExceeded, TransientError
 from repro.obs import current_registry, current_tracer
-from repro.service.shared_cache import SharedEstimateCache
-from repro.synthesis.cache import EstimateCache
 from repro.synthesis.estimator import Estimate
 
 
@@ -63,6 +61,8 @@ class EstimationGuard:
 
     Counters (``retries``, ``deadline_hits``) are reported in the job
     payload so chaos runs can assert how much grief the backend gave.
+    ``key`` (the worker passes its job id) is the default fault-site
+    key and ``estimate.call`` span attribute for every call.
     """
 
     def __init__(
@@ -70,8 +70,10 @@ class EstimationGuard:
         policy: Optional[GuardPolicy] = None,
         seed: int = 0,
         sleep: Callable[[float], None] = time.sleep,
+        key: Optional[str] = None,
     ):
         self.policy = policy or GuardPolicy()
+        self.key = key
         self.retries = 0
         self.deadline_hits = 0
         self._rng = random.Random(seed)
@@ -89,6 +91,7 @@ class EstimationGuard:
         ``estimator.retries`` / ``estimator.deadline_hits`` counters as
         they happen.
         """
+        key = key if key is not None else self.key
         registry = current_registry()
         started = time.monotonic()
         with current_tracer().span(
@@ -170,61 +173,3 @@ def validate_estimate(estimate: Any) -> Estimate:
         if not isinstance(value, (int, float)) or math.isnan(value):
             raise CorruptEstimate(f"estimate has invalid {name} {value!r}")
     return estimate
-
-
-class GuardedSharedEstimateCache(SharedEstimateCache):
-    """The worker's cache view: shared persistence + guarded misses."""
-
-    def __init__(
-        self,
-        path: Path,
-        guard: EstimationGuard,
-        job_id: Optional[str] = None,
-        max_entries: Optional[int] = None,
-        lock_timeout_s: float = 30.0,
-    ):
-        super().__init__(
-            path, lock_timeout_s=lock_timeout_s, max_entries=max_entries,
-        )
-        self._guard = guard
-        self._job_id = job_id
-
-    def _synthesize_miss(self, program, board, plan, library, backend):
-        return self._guard.call(
-            backend.estimate, program, board, plan, library,
-            key=self._job_id, backend=backend.id,
-        )
-
-
-class GuardedEstimateCache(EstimateCache):
-    """Guarded but memory-only — for jobs run without a cache file.
-
-    Gives cache-less jobs the same deadline/retry/validation semantics;
-    nothing is ever persisted.
-    """
-
-    def __init__(self, guard: EstimationGuard, job_id: Optional[str] = None):
-        super().__init__(Path(os.devnull))
-        self._guard = guard
-        self._job_id = job_id
-
-    def _synthesize_miss(self, program, board, plan, library, backend):
-        return self._guard.call(
-            backend.estimate, program, board, plan, library,
-            key=self._job_id, backend=backend.id,
-        )
-
-    def save(self) -> None:
-        """Deliberately persist nothing.
-
-        Contract: this class backs jobs that ran *without* a cache file
-        (``cache_path is None``); there is no durable location, so
-        ``save()`` is a no-op **by design**, not a lost write.  Entries
-        accumulated during the job simply die with the process.  Because
-        a silent no-op is indistinguishable from a dropped save in a
-        trace, every call records a ``cache.save.skipped`` metric so an
-        operator wondering why a cache file never appeared can see the
-        skips in the run's metrics instead of guessing.
-        """
-        current_registry().counter("cache.save.skipped").inc()
-        return None

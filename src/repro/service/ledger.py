@@ -16,7 +16,8 @@ Run directory layout::
       manifest.json    normalized manifest snapshot (paths resolved)
       ledger.jsonl     the journal: run_start, job_attempt, job_done, ...
       trace.jsonl      telemetry (default location; append on resume)
-      estimates.json   shared estimate cache (default location)
+      memo/            memo journal, the persistent estimate store
+                       (default location, when incremental)
 
 Consistency: ``run_start`` records a fingerprint over every job's
 *spec hash* (the result-determining fields: program, board, search and

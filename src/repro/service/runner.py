@@ -31,9 +31,9 @@ run serially in-process through the *same* worker function, a
 lost.
 
 Determinism guarantee: jobs are independent and each exploration is a
-deterministic function of its job spec, and the shared cache is
-value-transparent (fingerprint keys cover every input to an estimate).
-Parallel execution therefore changes wall time and cache hit/miss
+deterministic function of its job spec, and the shared memo journal is
+value-transparent (content-hash keys cover every input to an estimate).
+Parallel execution therefore changes wall time and memo hit/miss
 counters, never selections — ``--jobs 8`` picks bit-identical designs
 to ``--jobs 1``, and a killed-and-resumed run picks bit-identical
 designs to an uninterrupted one.
@@ -189,12 +189,11 @@ class BatchRunner:
     Args:
         manifest: the validated jobs to run.
         workers: process-pool size; ``<= 1`` means serial in-process.
-        cache_path: shared estimate cache file (optional but what makes
-            the engine pay off across jobs and runs).
         telemetry: event sink; a silent in-memory one is created when
             omitted.
-        worker: the job-execution callable — injectable for tests; must
-            be picklable (module-level) when ``workers > 1``.
+        worker: the job-execution callable, ``worker(payload)`` —
+            injectable for tests; must be picklable (module-level) when
+            ``workers > 1``.
         default_timeout_s: per-job timeout for jobs that do not set
             their own; only enforceable in pool mode.
         ledger: journal attempts and terminal results here (optional).
@@ -202,16 +201,16 @@ class BatchRunner:
             adopted without re-execution, in-flight attempts re-enqueued.
         call_deadline_s: default per-estimator-call deadline for jobs
             that do not set their own.
-        cache_max_entries: LRU bound handed to each worker's cache view.
         fault_spec: fault-injection spec path handed to workers (chaos
             testing; see :mod:`repro.faults`).
         incremental: hand workers the incremental-evaluation switch
             (memoized cross-point reuse; see :mod:`repro.incremental`).
             Defaults on; hits are bit-identical to recomputation, so
             the knob never changes selections — only wall time.
-        memo_dir: shared memo-journal directory for the run; entries
-            learned by one job are replayed into jobs scheduled later
-            (and into future runs pointed at the same directory).
+        memo_dir: shared memo-journal directory for the run — the one
+            persistent estimate store; entries learned by one job are
+            replayed into jobs scheduled later (and into future runs
+            pointed at the same directory).
         spans_path: append every span the workers ship back to this
             JSONL file (``repro trace`` renders it); ``None`` keeps
             spans in worker payloads only until they are discarded.
@@ -227,14 +226,12 @@ class BatchRunner:
         self,
         manifest: BatchManifest,
         workers: int = 1,
-        cache_path: Optional[Path] = None,
         telemetry: Optional[Telemetry] = None,
         worker: Callable[..., Dict[str, Any]] = execute_job,
         default_timeout_s: Optional[float] = None,
         ledger: Optional[RunLedger] = None,
         resume_state: Optional[LedgerState] = None,
         call_deadline_s: Optional[float] = None,
-        cache_max_entries: Optional[int] = None,
         fault_spec: Optional[str] = None,
         spans_path: Optional[Path] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -243,14 +240,12 @@ class BatchRunner:
     ):
         self.manifest = manifest
         self.workers = max(1, int(workers))
-        self.cache_path = str(cache_path) if cache_path else None
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.worker = worker
         self.default_timeout_s = default_timeout_s
         self.ledger = ledger
         self.resume_state = resume_state
         self.call_deadline_s = call_deadline_s
-        self.cache_max_entries = cache_max_entries
         self.fault_spec = fault_spec
         self.incremental = bool(incremental)
         self.memo_dir = str(memo_dir) if memo_dir else None
@@ -281,7 +276,6 @@ class BatchRunner:
             "batch_start",
             jobs=len(self.manifest),
             workers=self.workers,
-            cache=self.cache_path,
             manifest=self.manifest.source,
             resumed_jobs=len(results),
         )
@@ -366,8 +360,6 @@ class BatchRunner:
         runtime: Dict[str, Any] = {}
         if self.call_deadline_s is not None:
             runtime["call_deadline_s"] = self.call_deadline_s
-        if self.cache_max_entries is not None:
-            runtime["cache_max_entries"] = self.cache_max_entries
         if self.fault_spec is not None:
             runtime["fault_spec"] = self.fault_spec
         if not self.incremental:
@@ -389,7 +381,7 @@ class BatchRunner:
             spec, attempt = pending.pop(0)
             self._note_attempt(spec, attempt)
             try:
-                payload = self.worker(self._payload(spec), self.cache_path)
+                payload = self.worker(self._payload(spec))
             except Exception as error:  # noqa: BLE001 - isolate job failures
                 self._note_failure(
                     spec, attempt, JobFailure.from_exception(error),
@@ -435,9 +427,7 @@ class BatchRunner:
         info: Dict[Any, Tuple[JobSpec, int, float]] = {}
         for spec, attempt in wave:
             self._note_attempt(spec, attempt)
-            future = executor.submit(
-                self.worker, self._payload(spec), self.cache_path
-            )
+            future = executor.submit(self.worker, self._payload(spec))
             info[future] = (spec, attempt, time.monotonic())
 
         dirty = False
@@ -537,8 +527,8 @@ class BatchRunner:
             for key in (
                 "program", "board", "cycles", "space", "speedup",
                 "points_searched", "design_space_size",
-                "cache_hits", "cache_misses", "cache_evictions",
-                "cache_save_error", "estimator_retries", "deadline_hits",
+                "cache_hits", "cache_misses", "estimator_retries",
+                "deadline_hits",
                 "wall_seconds", "phase_seconds",
             )
             if payload.get(key) is not None
@@ -641,13 +631,11 @@ class BatchRunner:
 def run_batch(
     manifest: Optional[BatchManifest] = None,
     workers: int = 1,
-    cache_path: Optional[Path] = None,
     trace_path: Optional[Path] = None,
     default_timeout_s: Optional[float] = None,
     run_dir: Optional[Path] = None,
     resume: bool = False,
     call_deadline_s: Optional[float] = None,
-    cache_max_entries: Optional[int] = None,
     fault_spec: Optional[str] = None,
     spans_path: Optional[Path] = None,
     incremental: bool = True,
@@ -657,8 +645,8 @@ def run_batch(
 
     Without ``run_dir`` this is the classic ephemeral batch: telemetry
     to ``trace_path`` (optional), no journal.  With ``run_dir`` the run
-    is *journaled*: a :class:`RunLedger` is created there, and cache,
-    trace, and spans default to files inside it, and the coordinator's
+    is *journaled*: a :class:`RunLedger` is created there, trace, spans,
+    and the memo journal default to paths inside it, and the coordinator's
     merged metrics registry is persisted as ``<run-dir>/metrics.json``
     when the batch finishes — the artifacts ``repro trace`` renders.
     With ``resume=True`` the run directory is replayed instead —
@@ -686,8 +674,6 @@ def run_batch(
         ledger = RunLedger.create(run_dir, manifest)
     if run_dir is not None:
         run_dir = Path(run_dir)
-        if cache_path is None:
-            cache_path = run_dir / "estimates.json"
         if trace_path is None:
             trace_path = run_dir / "trace.jsonl"
         if spans_path is None:
@@ -701,13 +687,11 @@ def run_batch(
             runner = BatchRunner(
                 manifest,
                 workers=workers,
-                cache_path=cache_path,
                 telemetry=telemetry,
                 default_timeout_s=default_timeout_s,
                 ledger=ledger,
                 resume_state=resume_state,
                 call_deadline_s=call_deadline_s,
-                cache_max_entries=cache_max_entries,
                 fault_spec=fault_spec,
                 spans_path=spans_path,
                 incremental=incremental,

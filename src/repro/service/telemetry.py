@@ -4,16 +4,16 @@ Every notable moment in a batch — submission, per-attempt start/finish,
 retries, pool degradation — is one JSON object on one line of the trace
 file (JSONL), so a run can be tailed live, replayed later, and asserted
 on in tests.  The same events feed an in-memory aggregator whose summary
-(jobs, points synthesized, cache hit/miss totals, wall time per phase)
+(jobs, points synthesized, point-memo hit/miss totals, wall time per phase)
 renders as a :class:`repro.report.Table` next to the paper's own tables.
 
 Event vocabulary:
 
 ===================  ========================================================
-``batch_start``      manifest size, worker count, cache path
+``batch_start``      manifest size, worker count
 ``job_start``        one attempt begins (``attempt`` counts from 1)
-``job_finish``       attempt succeeded; carries cycles/space/points/cache
-                     counters and per-phase wall seconds
+``job_finish``       attempt succeeded; carries cycles/space/points/
+                     point-memo counters and per-phase wall seconds
 ``job_retry``        attempt failed but the job will be retried (``reason``,
                      plus the typed ``kind``/``transient`` classification)
 ``job_failed``       the job is terminally failed (attempts exhausted, or a
@@ -168,16 +168,15 @@ def read_trace(path: Path) -> List[TelemetryEvent]:
 def summarize_events(events: List[TelemetryEvent]) -> Dict[str, Any]:
     """Roll a batch's events up into the metrics the summary table shows.
 
-    ``cache_hits``/``cache_misses`` sum the per-job counters reported by
-    each worker's :class:`EstimateCache`, so the trace totals equal the
-    cache-object totals by construction — the invariant the integration
-    tests pin down.
+    ``cache_hits``/``cache_misses`` sum the per-job point-memo counters
+    each worker reports, so the trace totals equal the memo totals by
+    construction — the invariant the integration tests pin down.
     """
     summary: Dict[str, Any] = {
         "jobs": 0, "succeeded": 0, "failed": 0, "retries": 0, "attempts": 0,
         "points_synthesized": 0, "cache_hits": 0, "cache_misses": 0,
         "wall_seconds": 0.0, "serial_fallbacks": 0, "resumed": 0,
-        "estimator_retries": 0, "deadline_hits": 0, "cache_evictions": 0,
+        "estimator_retries": 0, "deadline_hits": 0,
         "infeasible_points": 0, "baselines_degraded": 0,
     }
     phases: Dict[str, float] = {}
@@ -199,9 +198,6 @@ def summarize_events(events: List[TelemetryEvent]) -> Dict[str, Any]:
                 event.data.get("estimator_retries") or 0
             )
             summary["deadline_hits"] += event.data.get("deadline_hits") or 0
-            summary["cache_evictions"] += (
-                event.data.get("cache_evictions") or 0
-            )
             summary["infeasible_points"] += (
                 event.data.get("infeasible_count") or 0
             )

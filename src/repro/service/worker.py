@@ -14,17 +14,18 @@ Robustness discipline inside the worker:
   :class:`~repro.service.guard.EstimationGuard` (per-call deadline,
   backoff on transient faults, corrupt-output validation) — configured
   from the job's ``call_deadline_s`` and the payload's ``runtime`` map;
-* a failed cache *save* degrades, it does not fail the job: the
-  selections are already computed, so the error is reported in the
-  payload (``cache_save_error``) and the estimates are simply re-learned
-  next time;
+* a failed memo-journal flush degrades, it does not fail the job: the
+  selections are already computed, the loss is counted as memo
+  invalidations, and the estimates are simply re-learned next time;
 * fault-injection sites ``worker`` (entry) and the guard's sites are
   active whenever a fault spec is (env or runtime), which is how the
   chaos suite drives this exact code path.
 
-Each invocation opens its own :class:`SharedEstimateCache` view of the
-shared cache file and saves (merge-on-write) before returning, so
-estimates learned by one job are visible to jobs scheduled later.
+Estimates persist in the memo journal named by the runtime map's
+``memo_dir``: each job replays it on entry and flushes what it learned
+before returning, so estimates learned by one job are visible to jobs
+scheduled later.  The payload's ``cache_hits``/``cache_misses`` are the
+job's point-domain memo tallies.
 """
 
 from __future__ import annotations
@@ -34,12 +35,8 @@ from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import faults
-from repro.errors import CacheLockTimeout, failure_kind
 from repro.obs import MetricsRegistry, Tracer, use_registry, use_tracer
-from repro.service.guard import (
-    EstimationGuard, GuardPolicy, GuardedEstimateCache,
-    GuardedSharedEstimateCache,
-)
+from repro.service.guard import EstimationGuard, GuardPolicy
 from repro.service.jobs import JobSpec
 
 
@@ -95,18 +92,17 @@ def _make_guard(spec: JobSpec, runtime: Mapping[str, Any]) -> EstimationGuard:
         deadline = runtime.get("call_deadline_s")
     return EstimationGuard(
         GuardPolicy(call_deadline_s=deadline), seed=_guard_seed(spec),
+        key=spec.id,
     )
 
 
-def execute_job(
-    payload: Mapping[str, Any], cache_path: Optional[str] = None
-) -> Dict[str, Any]:
+def execute_job(payload: Mapping[str, Any]) -> Dict[str, Any]:
     """Run one exploration job; returns the primitives-only result dict.
 
     The dict carries everything the coordinator reports: the selection
     (unroll/cycles/space/balance), baseline and speedup, search effort
-    (points vs design-space size), the narrative trace, this job's cache
-    hit/miss/eviction counters, guard counters (estimator retries and
+    (points vs design-space size), the narrative trace, this job's
+    point-memo hit/miss counters, guard counters (estimator retries and
     deadline hits), and wall seconds split by phase.
 
     Observability: unless the payload's runtime map sets
@@ -127,7 +123,7 @@ def execute_job(
     tracer = Tracer(base_attributes={"job": spec.id}) if traced else None
     registry = MetricsRegistry()
     with use_tracer(tracer) if traced else _noop(), use_registry(registry):
-        result_dict = _execute(spec, runtime, cache_path)
+        result_dict = _execute(spec, runtime)
     if traced:
         result_dict["obs"] = {
             "spans": tracer.to_dicts(),
@@ -143,9 +139,7 @@ def _noop():
     return nullcontext()
 
 
-def _execute(
-    spec: JobSpec, runtime: Mapping[str, Any], cache_path: Optional[str]
-) -> Dict[str, Any]:
+def _execute(spec: JobSpec, runtime: Mapping[str, Any]) -> Dict[str, Any]:
     t_start = time.perf_counter()
     program, kernel = load_program(spec.program)
     board = resolve_board(spec.board)
@@ -153,13 +147,6 @@ def _execute(
     t_loaded = time.perf_counter()
 
     guard = _make_guard(spec, runtime)
-    max_entries = runtime.get("cache_max_entries")
-    if cache_path:
-        cache = GuardedSharedEstimateCache(
-            Path(cache_path), guard, job_id=spec.id, max_entries=max_entries,
-        )
-    else:
-        cache = GuardedEstimateCache(guard, job_id=spec.id)
     from repro.dse import ExploreConfig, explore
     # Incremental evaluation is an engine knob, not part of job identity:
     # memo hits are bit-identical to recomputation, so the flag rides the
@@ -180,7 +167,7 @@ def _execute(
     result = explore(program, board, config=ExploreConfig(
         search=search_options,
         pipeline=pipeline_options,
-        estimate_cache=cache,
+        guard=guard,
         backend=spec.backend,
         fidelity=spec.fidelity,
         incremental=bool(incremental),
@@ -188,14 +175,7 @@ def _execute(
         scoreboard=scoreboard,
     ))
     t_explored = time.perf_counter()
-    cache_save_error = None
-    try:
-        cache.save()
-    except (CacheLockTimeout, OSError) as error:
-        # The exploration is done and correct; losing the cache write
-        # only costs re-synthesis later.  Degrade and report.
-        cache_save_error = f"{failure_kind(error)}: {error}"
-    t_saved = time.perf_counter()
+    memo = result.memo_stats or {}
 
     out = {
         "job_id": spec.id,
@@ -220,17 +200,14 @@ def _execute(
         "fidelity": spec.fidelity,
         "confirmation": _confirmation_dict(result.confirmation),
         "rank_agreement": _differential_dict(result.differential),
-        "cache_hits": cache.hits,
-        "cache_misses": cache.misses,
-        "cache_evictions": cache.evictions,
-        "cache_save_error": cache_save_error,
+        "cache_hits": memo.get("point_hits", 0),
+        "cache_misses": memo.get("point_misses", 0),
         "estimator_retries": guard.retries,
         "deadline_hits": guard.deadline_hits,
-        "wall_seconds": t_saved - t_start,
+        "wall_seconds": t_explored - t_start,
         "phase_seconds": {
             "load": t_loaded - t_start,
             "explore": t_explored - t_loaded,
-            "cache_save": t_saved - t_explored,
         },
         "report": result.report(),
     }

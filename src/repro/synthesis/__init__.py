@@ -8,7 +8,6 @@ estimates the design space exploration consumes.
 
 from repro.synthesis.area import AreaBreakdown, index_variable_widths
 from repro.synthesis.binding import BoundUnit, OperatorBinding, bind_operators
-from repro.synthesis.cache import EstimateCache
 from repro.synthesis.dfg import Dataflow, DataflowBuilder, Node
 from repro.synthesis.estimator import Estimate, LOOP_OVERHEAD_CYCLES, synthesize
 from repro.synthesis.operators import OperatorLibrary, OperatorSpec, default_library
@@ -26,7 +25,7 @@ from repro.synthesis.scheduling import (
 
 __all__ = [
     "AreaBreakdown", "Block", "BoundUnit", "Dataflow", "DataflowBuilder",
-    "Estimate", "EstimateCache", "OperatorBinding", "bind_operators",
+    "Estimate", "OperatorBinding", "bind_operators",
     "ImplementationResult", "LOOP_OVERHEAD_CYCLES", "LoopBlock", "Node",
     "OperatorLibrary", "OperatorSpec", "Region", "RegionSchedule",
     "ResourceConstraints",

@@ -1,7 +1,7 @@
 """Chaos: the real batch stack under injected faults.
 
 Every scenario drives real explorations (``execute_job``, the guard,
-the caches) with a fault spec active, and asserts the robustness
+the memo journal) with a fault spec active, and asserts the robustness
 contract: each job reaches a *typed* terminal state, recovery changes
 wall time and counters but never selections, and degraded writes are
 counted instead of fatal.
@@ -147,19 +147,22 @@ class TestTypedTerminalStates:
 
 
 class TestDegradedWrites:
-    def test_cache_write_failure_does_not_fail_the_job(self, tmp_path):
-        cache = tmp_path / "estimates.json"
+    def test_memo_write_failure_does_not_fail_the_job(self, tmp_path):
+        from repro.incremental.journal import open_memo
+        memo_dir = tmp_path / "memo"
         result, _ = _run(
             tmp_path, [FIR],
             fault_cfg={"faults": [
-                {"site": "cache_write", "mode": "io_error"},
+                {"site": "disk_full", "mode": "io_error", "jobs": ["memo"]},
             ]},
-            cache_path=cache,
+            memo_dir=memo_dir,
         )
         job = result.results[0]
         assert job.ok
-        assert job.payload["cache_save_error"]
-        assert not cache.exists()   # nothing persisted — and nothing lost
+        # The dropped flush is counted, not raised ...
+        assert job.payload["memo"]["invalidations"] >= 1
+        # ... nothing persisted, and nothing lost but a warm start.
+        assert len(open_memo(memo_dir)) == 0
 
     def test_telemetry_write_failure_counted_not_fatal(self, tmp_path):
         from repro import faults

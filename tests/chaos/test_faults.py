@@ -82,10 +82,10 @@ class TestFiring:
 
     def test_io_error_mode_is_enospc(self):
         injector = parse_spec({"faults": [
-            {"site": "cache_write", "mode": "io_error"},
+            {"site": "disk_full", "mode": "io_error"},
         ]})
         with pytest.raises(OSError) as info:
-            injector.check("cache_write")
+            injector.check("disk_full")
         assert info.value.errno == errno.ENOSPC
 
     def test_corrupt_mangles_dataclass(self):
@@ -106,7 +106,7 @@ class TestFiring:
         injector = parse_spec({"faults": [
             {"site": "estimator", "mode": "transient"},
         ]})
-        injector.check("cache_write")   # different site: no fault
+        injector.check("disk_full")   # different site: no fault
         assert injector.mangle("estimate", 42) == 42
 
     def test_jobs_filter(self):

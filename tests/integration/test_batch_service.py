@@ -2,7 +2,7 @@
 
 The headline guarantee under test: parallel batch execution selects
 bit-identical designs to serial exploration, while the JSONL trace's
-cache accounting stays consistent with the shared cache file.
+cache accounting stays consistent with the shared memo journal.
 """
 
 import json
@@ -11,12 +11,12 @@ import pytest
 
 from repro.cli import main
 from repro.dse import explore
+from repro.incremental.journal import open_memo
 from repro.kernels import kernel_by_name
 from repro.service import (
     BatchRunner, Telemetry, load_manifest, parse_manifest, read_trace,
     summarize_events,
 )
-from repro.synthesis import EstimateCache
 from repro.target import wildstar_nonpipelined, wildstar_pipelined
 
 JOBS = (("fir", "pipelined"), ("jac", "nonpipelined"))
@@ -53,7 +53,7 @@ class TestParallelMatchesSerial:
         with Telemetry(tmp_path / "trace.jsonl") as telemetry:
             batch = BatchRunner(
                 manifest, workers=2,
-                cache_path=tmp_path / "cache.json", telemetry=telemetry,
+                memo_dir=tmp_path / "memo", telemetry=telemetry,
             ).run()
         assert batch.all_ok
         for job in batch.results:
@@ -75,11 +75,11 @@ class TestParallelMatchesSerial:
 
     def test_trace_cache_totals_match_cache_file(self, tmp_path):
         manifest = load_manifest(_write_manifest(tmp_path))
-        cache_path = tmp_path / "cache.json"
+        memo_dir = tmp_path / "memo"
         trace_path = tmp_path / "trace.jsonl"
         with Telemetry(trace_path) as telemetry:
             batch = BatchRunner(
-                manifest, workers=2, cache_path=cache_path,
+                manifest, workers=2, memo_dir=memo_dir,
                 telemetry=telemetry,
             ).run()
         events = read_trace(trace_path)
@@ -87,26 +87,22 @@ class TestParallelMatchesSerial:
         # Trace totals agree with what the runner aggregated...
         assert summary["cache_hits"] == batch.summary["cache_hits"]
         assert summary["cache_misses"] == batch.summary["cache_misses"]
-        # ...and with the per-job counters each worker's cache reported.
+        # ...and with the per-job point-memo counters each worker reported.
         finishes = [e for e in events if e.event == "job_finish"]
         assert summary["cache_misses"] == sum(
             e.data["cache_misses"] for e in finishes
         )
-        # Cold disjoint jobs: every lookup missed, and each miss put
-        # exactly one entry in the shared cache file.
+        # Cold disjoint jobs: every point lookup missed, and each miss
+        # journaled exactly one point entry in the shared memo.
         assert summary["cache_hits"] == 0
         assert summary["cache_misses"] == summary["points_synthesized"]
-        assert len(EstimateCache(cache_path)) == summary["cache_misses"]
+        assert open_memo(memo_dir).counts()["point"] == summary["cache_misses"]
 
     def test_warm_cache_run_all_hits(self, tmp_path):
         manifest = load_manifest(_write_manifest(tmp_path))
-        cache_path = tmp_path / "cache.json"
-        cold = BatchRunner(
-            manifest, workers=2, cache_path=cache_path,
-        ).run()
-        warm = BatchRunner(
-            manifest, workers=2, cache_path=cache_path,
-        ).run()
+        memo_dir = tmp_path / "memo"
+        cold = BatchRunner(manifest, workers=2, memo_dir=memo_dir).run()
+        warm = BatchRunner(manifest, workers=2, memo_dir=memo_dir).run()
         assert warm.summary["cache_misses"] == 0
         assert warm.summary["cache_hits"] == warm.summary["points_synthesized"]
         for before, after in zip(cold.results, warm.results):
@@ -125,7 +121,7 @@ class TestBatchCli:
         out_json = tmp_path / "summary.json"
         assert main([
             "batch", str(manifest), "--jobs", "2",
-            "--cache", str(tmp_path / "cache.json"),
+            "--memo-dir", str(tmp_path / "memo"),
             "--trace", str(trace), "--json", str(out_json),
         ]) == 0
         out = capsys.readouterr().out
@@ -164,7 +160,7 @@ class TestExploreParallel:
     def test_explore_parallel_matches_serial_report(self, tmp_path, capsys):
         assert main(["explore", "kernel:jac", "kernel:fir",
                      "--parallel", "--jobs", "2",
-                     "--cache", str(tmp_path / "cache.json")]) == 0
+                     "--memo-dir", str(tmp_path / "memo")]) == 0
         out = capsys.readouterr().out
         serial = {
             name: explore(kernel_by_name(name).program(), wildstar_pipelined())

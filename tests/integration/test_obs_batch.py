@@ -69,8 +69,8 @@ class TestCrossProcessMetrics:
             self, traced_run):
         batch, run_dir = traced_run
         snapshot = json.loads((run_dir / "metrics.json").read_text())
-        # both workers synthesized fresh points on a cold shared cache
-        assert snapshot["counters"]["cache.misses"] >= 2
+        # both workers synthesized fresh points on a cold memo journal
+        assert snapshot["counters"]["incremental.memo.misses{domain=point}"] >= 2
         searches = snapshot["histograms"]["dse.search_iterations"]
         assert searches["count"] == 2  # one guided search per job
         points = snapshot["histograms"]["dse.point_seconds"]

@@ -29,8 +29,9 @@ BACKENDS = [
 KERNELS = [pytest.param(kernel, id=kernel.name) for kernel in ALL_KERNELS]
 
 
-def search_path(kernel, board, backend, steps=5):
-    """Uinit and its Increase successors, evaluated on ``backend``."""
+def walk(kernel, board, backend, steps=5):
+    """The space and Uinit plus its Increase successors, evaluated on
+    ``backend``."""
     space = DesignSpace(kernel.program(), board, backend=backend)
     searcher = BalanceGuidedSearch(space)
     vectors = [searcher.initial_vector()]
@@ -39,7 +40,11 @@ def search_path(kernel, board, backend, steps=5):
         if grown == vectors[-1]:
             break
         vectors.append(grown)
-    return [space.evaluate(vector) for vector in vectors]
+    return space, [space.evaluate(vector) for vector in vectors]
+
+
+def search_path(kernel, board, backend, steps=5):
+    return walk(kernel, board, backend, steps)[1]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -97,9 +102,9 @@ MIN_AGREEMENT = 0.9
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_interp_vs_analytic_rank_agreement(kernel):
     board = wildstar_pipelined()
-    path = search_path(kernel, board, "analytic", steps=6)
+    space, path = walk(kernel, board, "analytic", steps=6)
     report = validate_run(
-        path, board, ["analytic", "interp"],
+        space, path, ["analytic", "interp"],
         samples=len(path), kernel=kernel.name,
     )
     assert report.backends == ("analytic", "interp")

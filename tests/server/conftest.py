@@ -16,7 +16,7 @@ import pytest
 from repro.server import ExplorationServer
 
 
-def stub_worker(payload, cache_path=None):
+def stub_worker(payload):
     """A fast fake worker with the real payload contract."""
     return {
         "job_id": payload["id"],

@@ -1,16 +1,16 @@
-"""The shared estimate cache under server-style concurrency.
+"""The shared memo journal under server-style concurrency.
 
 The satellite invariant: N clients racing to submit the *same*
-exploration cost exactly one execution (dedup), and the shared cache's
+exploration cost exactly one execution (dedup), and the memo journal's
 file locking at default settings never times out — neither under the
-dedup race nor when genuinely distinct jobs hammer one cache file.
+dedup race nor when genuinely distinct jobs flush into one journal.
 """
 
-import json
 import threading
 
 import pytest
 
+from repro.incremental.journal import open_memo
 from repro.server import client as http_client
 from repro.service.worker import execute_job
 
@@ -25,15 +25,12 @@ def test_racing_identical_submissions_execute_once(live_server_factory,
     executions = []
     execution_lock = threading.Lock()
 
-    def counting_worker(payload, cache_path=None):
+    def counting_worker(payload):
         with execution_lock:
             executions.append(payload["id"])
-        return execute_job(payload, cache_path)
+        return execute_job(payload)
 
-    live = live_server_factory(
-        worker=counting_worker,
-        cache_path=tmp_path / "estimates.json",
-    )
+    live = live_server_factory(worker=counting_worker)
     url = live.base_url
 
     replies = []
@@ -72,9 +69,9 @@ def test_racing_identical_submissions_execute_once(live_server_factory,
     # the tentpole number: N submissions, ONE execution
     assert executions == [job_id]
 
-    # zero CacheLockTimeouts at default lock settings
+    # zero lock timeouts at default settings: no memo write was lost
     result = doc["result"]
-    assert result["cache_save_error"] is None
+    assert result["memo"]["invalidations"] == 0
     assert result["estimator_retries"] == 0
 
     status = http_client.job_status(url, job_id)
@@ -85,7 +82,7 @@ def test_racing_identical_submissions_execute_once(live_server_factory,
 def test_distinct_jobs_share_one_cache_without_lock_timeouts(
     live_server_factory, tmp_path
 ):
-    cache_path = tmp_path / "estimates.json"
+    memo_dir = tmp_path / "memo"
     jobs = [
         {"program": "kernel:fir", "board": "pipelined"},
         {"program": "kernel:fir", "board": "nonpipelined"},
@@ -93,7 +90,7 @@ def test_distinct_jobs_share_one_cache_without_lock_timeouts(
     ]
 
     live = live_server_factory(
-        worker=execute_job, cache_path=cache_path, max_concurrency=3,
+        worker=execute_job, memo_dir=memo_dir, max_concurrency=3,
         state_name="state-a",
     )
     ids = [
@@ -110,16 +107,15 @@ def test_distinct_jobs_share_one_cache_without_lock_timeouts(
     for job_id in ids:
         _, doc = http_client.job_report(live.base_url, job_id)
         assert doc["status"] == "ok", doc
-        assert doc["result"]["cache_save_error"] is None
+        assert doc["result"]["memo"]["invalidations"] == 0
         first_results[job_id] = doc["result"]
     live.stop()
-    assert cache_path.exists()
-    assert json.loads(cache_path.read_text())  # non-empty hash→estimate map
+    assert open_memo(memo_dir).counts()["point"] > 0
 
-    # a second server over the same cache file answers from it: every
-    # estimate was persisted, so the re-runs are pure cache hits
+    # a second server over the same memo journal answers from it: every
+    # estimate was persisted, so the re-runs are pure point-memo hits
     rerun = live_server_factory(
-        worker=execute_job, cache_path=cache_path, max_concurrency=3,
+        worker=execute_job, memo_dir=memo_dir, max_concurrency=3,
         state_name="state-b",
     )
     rerun_ids = [
@@ -138,7 +134,7 @@ def test_distinct_jobs_share_one_cache_without_lock_timeouts(
         result = doc["result"]
         assert result["cache_misses"] == 0, (job_id, result)
         assert result["cache_hits"] > 0
-        # cached estimates select the same design
+        # memoized estimates select the same design
         assert result["selected_unroll"] == (
             first_results[job_id]["selected_unroll"]
         )

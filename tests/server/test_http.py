@@ -170,7 +170,7 @@ class TestLiveServer:
         import threading
         release = threading.Event()
 
-        def gated(payload, cache_path=None):
+        def gated(payload):
             release.wait(30)
             return stub_worker(payload)
 

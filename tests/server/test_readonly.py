@@ -138,10 +138,10 @@ class TestScheduler:
     def test_in_flight_job_finishes(self, tmp_path):
         holder = {}
 
-        def demoting_worker(payload, cache_path=None):
+        def demoting_worker(payload):
             # The disk dies while this job is already executing.
             force_read_only(holder["store"])
-            return stub_worker(payload, cache_path)
+            return stub_worker(payload)
 
         store, scheduler = self._make(tmp_path, worker=demoting_worker)
         holder["store"] = store

@@ -54,7 +54,7 @@ def test_runs_queued_jobs_to_done(tmp_path):
 def test_transient_failure_retries_then_succeeds(tmp_path):
     calls = []
 
-    def flaky(payload, cache_path=None):
+    def flaky(payload):
         calls.append(payload["id"])
         if len(calls) < 3:
             raise TransientError("backend flake")
@@ -69,7 +69,7 @@ def test_transient_failure_retries_then_succeeds(tmp_path):
 
 
 def test_transient_failure_exhausts_attempts(tmp_path):
-    def always_flaky(payload, cache_path=None):
+    def always_flaky(payload):
         raise TransientError("still down")
 
     store, registry, scheduler = make(tmp_path, worker=always_flaky)
@@ -84,7 +84,7 @@ def test_transient_failure_exhausts_attempts(tmp_path):
 def test_permanent_failure_fails_fast(tmp_path):
     calls = []
 
-    def broken(payload, cache_path=None):
+    def broken(payload):
         calls.append(payload["id"])
         raise EstimationError("deterministic")
 
@@ -116,7 +116,7 @@ def test_drain_leaves_queued_jobs_queued(tmp_path):
 def test_per_job_timeout_is_transient_and_bounded(tmp_path):
     import time as _time
 
-    def slow(payload, cache_path=None):
+    def slow(payload):
         _time.sleep(5.0)
         return stub_worker(payload)
 
@@ -130,30 +130,28 @@ def test_per_job_timeout_is_transient_and_bounded(tmp_path):
 def test_runtime_knobs_reach_the_payload(tmp_path):
     seen = {}
 
-    def capture(payload, cache_path=None):
+    def capture(payload):
         seen.update(payload)
-        seen["cache_path"] = cache_path
         return stub_worker(payload)
 
     store, registry, scheduler = make(
         tmp_path, worker=capture,
-        cache_path=tmp_path / "estimates.json",
-        call_deadline_s=1.5, cache_max_entries=32, fault_spec="spec.json",
+        memo_dir=tmp_path / "memo",
+        call_deadline_s=1.5, fault_spec="spec.json",
     )
     store.submit(spec())
     drain(scheduler)
     assert seen["runtime"] == {
         "call_deadline_s": 1.5,
-        "cache_max_entries": 32,
         "fault_spec": "spec.json",
+        "memo_dir": str(tmp_path / "memo"),
     }
-    assert seen["cache_path"].endswith("estimates.json")
 
 
 def test_job_deadline_overrides_server_default(tmp_path):
     seen = {}
 
-    def capture(payload, cache_path=None):
+    def capture(payload):
         seen.update(payload)
         return stub_worker(payload)
 
@@ -166,7 +164,7 @@ def test_job_deadline_overrides_server_default(tmp_path):
 
 
 def test_worker_spans_append_to_spans_file(tmp_path):
-    def spanner(payload, cache_path=None):
+    def spanner(payload):
         result = stub_worker(payload)
         result["obs"]["spans"] = [{"name": "explore", "job": payload["id"]}]
         return result

@@ -121,10 +121,10 @@ class TestLiveServer:
     def test_scoreboard_ships_to_workers(self, live_server_factory):
         seen = {}
 
-        def spy_worker(payload, cache_path=None):
+        def spy_worker(payload):
             seen.update(payload.get("runtime") or {})
             from tests.server.conftest import stub_worker
-            return stub_worker(payload, cache_path)
+            return stub_worker(payload)
 
         live = live_server_factory(worker=spy_worker, state_name="spy")
         live.server.store.record_strategy_outcome(

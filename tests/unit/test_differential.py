@@ -21,8 +21,12 @@ def board():
 
 
 @pytest.fixture
-def evaluations(board):
-    space = DesignSpace(FIR.program(), board)
+def space(board):
+    return DesignSpace(FIR.program(), board)
+
+
+@pytest.fixture
+def evaluations(space):
     return [
         space.evaluate(UnrollVector.of(*factors))
         for factors in [(1, 1), (2, 1), (4, 2), (8, 4)]
@@ -71,7 +75,7 @@ class TestRankAgreementMath:
 
 class TestValidateRun:
     def test_navigation_column_reused_not_recomputed(
-        self, evaluations, board
+        self, space, evaluations
     ):
         calls = []
 
@@ -84,7 +88,7 @@ class TestValidateRun:
                 return synthesize(program, board, plan, library, constraints)
 
         report = validate_run(
-            evaluations, board, ["analytic", Counting()],
+            space, evaluations, ["analytic", Counting()],
             samples=len(evaluations), kernel="fir",
         )
         # Only the non-navigation backend re-estimates.
@@ -93,12 +97,12 @@ class TestValidateRun:
         assert report.sampled == len(evaluations)
 
     def test_disagreement_counter_always_registered(
-        self, evaluations, board
+        self, space, evaluations
     ):
         registry = MetricsRegistry()
         with use_registry(registry):
             report = validate_run(
-                evaluations, board, ["analytic", "placeroute"],
+                space, evaluations, ["analytic", "placeroute"],
                 samples=len(evaluations), kernel="fir",
             )
         snapshot = registry.snapshot()
@@ -108,15 +112,15 @@ class TestValidateRun:
         ), f"no disagreement series in {counters!r}"
         assert report.disagreements == 0
 
-    def test_sampling_caps_pool(self, evaluations, board):
+    def test_sampling_caps_pool(self, space, evaluations):
         report = validate_run(
-            evaluations, board, ["analytic", "placeroute"],
+            space, evaluations, ["analytic", "placeroute"],
             samples=2, kernel="fir",
         )
         assert report.sampled == 2
 
     def test_failing_backend_degrades_to_recorded_failure(
-        self, evaluations, board
+        self, space, evaluations
     ):
         class Broken(EstimatorBackend):
             id = "broken"
@@ -126,7 +130,7 @@ class TestValidateRun:
                 raise EstimationError("synthetic failure")
 
         report = validate_run(
-            evaluations, board, ["analytic", Broken()],
+            space, evaluations, ["analytic", Broken()],
             samples=2, kernel="fir",
         )
         assert len(report.failures) == 2
@@ -134,9 +138,9 @@ class TestValidateRun:
         # Broken column is all-None: no decisive pairs, agreement 1.0.
         assert report.agreements[0].pairs == 0
 
-    def test_table_and_dict_round_trip(self, evaluations, board):
+    def test_table_and_dict_round_trip(self, space, evaluations):
         report = validate_run(
-            evaluations, board, ["analytic", "placeroute"],
+            space, evaluations, ["analytic", "placeroute"],
             samples=len(evaluations), kernel="fir",
         )
         rendered = report.table().render()
@@ -146,9 +150,9 @@ class TestValidateRun:
         assert record["agreements"][0]["backends"] == "analytic|placeroute"
         assert "monotonicity_violations" in record
 
-    def test_duplicate_backends_deduped(self, evaluations, board):
+    def test_duplicate_backends_deduped(self, space, evaluations):
         report = validate_run(
-            evaluations, board, ["analytic", "analytic"],
+            space, evaluations, ["analytic", "analytic"],
             samples=2, kernel="fir",
         )
         assert report.backends == ("analytic",)
@@ -156,10 +160,10 @@ class TestValidateRun:
 
 
 class TestConfirmSelection:
-    def test_confirms_selected_and_baseline(self, evaluations, board):
+    def test_confirms_selected_and_baseline(self, space, evaluations):
         baseline, selected = evaluations[0], evaluations[-1]
         result = confirm_selection(
-            selected, baseline, board, "placeroute", "analytic",
+            space, selected, baseline, "placeroute",
         )
         assert result.backend == "placeroute"
         assert result.navigation_backend == "analytic"
@@ -171,23 +175,23 @@ class TestConfirmSelection:
         )
         assert result.selected_cycle_error is not None
 
-    def test_degraded_baseline_skips_baseline(self, evaluations, board):
+    def test_degraded_baseline_skips_baseline(self, space, evaluations):
         selected = evaluations[-1]
         result = confirm_selection(
-            selected, selected, board, "placeroute", "analytic",
+            space, selected, selected, "placeroute",
         )
         assert result.selected is not None
         assert result.baseline is None
         assert result.confirmed_speedup is None
 
-    def test_none_baseline_allowed(self, evaluations, board):
+    def test_none_baseline_allowed(self, space, evaluations):
         result = confirm_selection(
-            evaluations[-1], None, board, "placeroute", "analytic",
+            space, evaluations[-1], None, "placeroute",
         )
         assert result.baseline is None
         assert result.error is None
 
-    def test_failed_confirmation_records_error(self, evaluations, board):
+    def test_failed_confirmation_records_error(self, space, evaluations):
         class Broken(EstimatorBackend):
             id = "broken"
             fidelity = 3
@@ -196,14 +200,14 @@ class TestConfirmSelection:
                 raise EstimationError("no deal")
 
         result = confirm_selection(
-            evaluations[-1], evaluations[0], board, Broken(), "analytic",
+            space, evaluations[-1], evaluations[0], Broken(),
         )
         assert result.selected is None
         assert "selected design" in result.error
 
-    def test_as_dict_payload(self, evaluations, board):
+    def test_as_dict_payload(self, space, evaluations):
         result = confirm_selection(
-            evaluations[-1], evaluations[0], board, "placeroute", "analytic",
+            space, evaluations[-1], evaluations[0], "placeroute",
         )
         record = result.as_dict()
         assert record["backend"] == "placeroute"
@@ -212,9 +216,9 @@ class TestConfirmSelection:
         assert record["baseline_cycles"] == result.baseline.cycles
         assert "confirmed_speedup" in record
 
-    def test_interp_confirmation_agrees_on_fir(self, evaluations, board):
+    def test_interp_confirmation_agrees_on_fir(self, space, evaluations):
         result = confirm_selection(
-            evaluations[-1], evaluations[0], board, "interp", "analytic",
+            space, evaluations[-1], evaluations[0], "interp",
         )
         assert result.error is None
         assert result.selected_cycle_error == pytest.approx(0.0)

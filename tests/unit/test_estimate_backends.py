@@ -91,6 +91,22 @@ class TestProvenance:
         interp = InterpBackend().cache_key(design.program, board, design.plan)
         assert analytic != interp
 
+    @pytest.mark.parametrize("backend_id, digest", [
+        ("analytic",
+         "f88efc1ec4a223bb210ef76c1ee5924c3abbea73dfdd36be6a6a55167645a207"),
+        ("placeroute",
+         "ba00668eac875f35dcd84393a1932dfbb1e1c7bef013a57020478c4e435e5f6e"),
+        ("interp",
+         "d509c528fb5be8f0418c5e6ac2df4a1ef8397a8b8cd99a222d7ba749dbc2dcd3"),
+    ])
+    def test_cache_key_pinned(self, design, board, backend_id, digest):
+        """The provenance key is an on-disk format: a refactor of the
+        fingerprint must reproduce these digests byte for byte."""
+        estimate = get_backend(backend_id).estimate(
+            design.program, board, design.plan
+        )
+        assert estimate.provenance.cache_key == digest
+
 
 class TestAnalyticBackend:
     def test_matches_direct_synthesis(self, design, board):

@@ -1,9 +1,8 @@
-"""The redesigned single-config call shapes and their deprecation shims.
+"""The single-config call shapes of ``explore()`` and ``JobSpec.create()``.
 
-``explore()`` and ``JobSpec.create()`` both take one keyword-only
-``config=`` object; the pre-redesign individual-keyword (and, for
-``explore``, positional) shapes still work but warn — deprecate, don't
-break.
+Both take one keyword-only ``config=`` object.  ``explore()``'s
+pre-redesign individual-keyword and positional shapes are gone and
+raise ``TypeError``; ``JobSpec.create()``'s still work but warn.
 """
 
 import warnings
@@ -30,28 +29,22 @@ class TestExploreConfigShape:
             warnings.simplefilter("error", DeprecationWarning)
             explore(tiny_program, pipelined_board)
 
-    def test_legacy_keyword_warns_but_works(self, tiny_program,
+    def test_legacy_keyword_is_a_type_error(self, tiny_program,
                                             pipelined_board):
-        with pytest.warns(DeprecationWarning, match="ExploreConfig"):
-            legacy = explore(tiny_program, pipelined_board,
-                             search_options=SearchOptions(max_iterations=4))
-        modern = explore(tiny_program, pipelined_board,
-                         config=ExploreConfig(
-                             search=SearchOptions(max_iterations=4)))
-        assert legacy.selected.unroll == modern.selected.unroll
-        assert legacy.points_searched == modern.points_searched
+        with pytest.raises(TypeError, match="search_options"):
+            explore(tiny_program, pipelined_board,
+                    search_options=SearchOptions(max_iterations=4))
 
-    def test_legacy_positional_warns_but_works(self, tiny_program,
+    def test_legacy_positional_is_a_type_error(self, tiny_program,
                                                pipelined_board):
         # historical signature: explore(program, board, search_options, ...)
-        with pytest.warns(DeprecationWarning):
-            result = explore(tiny_program, pipelined_board,
-                             SearchOptions(max_iterations=4))
-        assert result.points_searched >= 1
+        with pytest.raises(TypeError, match="positional"):
+            explore(tiny_program, pipelined_board,
+                    SearchOptions(max_iterations=4))
 
     def test_config_plus_legacy_is_an_error(self, tiny_program,
                                             pipelined_board):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             explore(tiny_program, pipelined_board,
                     search_options=SearchOptions(),
                     config=ExploreConfig())
@@ -69,7 +62,7 @@ class TestExploreConfigShape:
 
     def test_duplicate_positional_and_keyword_is_an_error(
             self, tiny_program, pipelined_board):
-        with pytest.raises(TypeError, match="multiple values"):
+        with pytest.raises(TypeError):
             explore(tiny_program, pipelined_board, SearchOptions(),
                     search_options=SearchOptions())
 

@@ -3,21 +3,30 @@
 The memo layer's contracts, pinned one at a time:
 
 * four domains with hit/miss accounting and idempotent adoption;
-* schedule values survive the JSON codec bit-for-bit;
+* schedule and estimate values survive the JSON codecs bit-for-bit —
+  infinite balances and provenance included, through a journal reload;
 * the journal round-trips entries across processes (load = flush⁻¹),
   compacts into a snapshot segment, and degrades — never raises — on
   write failure, counting every loss as an invalidation;
 * the ``/metrics`` counters exist at zero from construction.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.estimate import get_backend
+from repro.frontend import compile_source
 from repro.incremental.journal import MEMO_PREFIX, MemoJournal, open_memo
 from repro.incremental.memo import (
-    MemoStore, current_memo, decode_schedule, encode_schedule, use_memo,
+    MemoStore, current_memo, decode_estimate, decode_schedule,
+    encode_estimate, encode_schedule, use_memo,
 )
+from repro.kernels import FIR
 from repro.obs import MetricsRegistry, use_registry
 from repro.synthesis.scheduling import RegionSchedule
+from repro.target import wildstar_pipelined
+from repro.transform import UnrollVector, compile_design
 
 
 def sample_schedule():
@@ -40,6 +49,14 @@ class TestDomains:
         memo.point_put("k", {"cycles": 5})
         assert memo.point_get("k") == {"cycles": 5}
         assert (memo.hits, memo.misses) == (1, 1)
+        assert (memo.point_hits, memo.point_misses) == (1, 1)
+
+    def test_point_tallies_ignore_other_domains(self):
+        memo = MemoStore()
+        memo.legality_get("src")
+        memo.verified("v")
+        assert (memo.point_hits, memo.point_misses) == (0, 0)
+        assert memo.misses == 2
 
     def test_legality_roundtrips_depth_tuple(self):
         memo = MemoStore()
@@ -90,6 +107,61 @@ class TestScheduleCodec:
         schedule = sample_schedule()
         wire = json.loads(json.dumps(encode_schedule(schedule)))
         assert decode_schedule(wire) == schedule
+
+
+def sample_estimate(backend="analytic"):
+    design = compile_design(FIR.program(), UnrollVector.of(2, 2), 4)
+    board = wildstar_pipelined()
+    return get_backend(backend).estimate(design.program, board, design.plan)
+
+
+def reload_point(tmp_path, estimate):
+    """Journal ``estimate`` under one key, reload the directory in a
+    fresh store, and decode what comes back."""
+    writer = open_memo(tmp_path)
+    writer.point_put("p", encode_estimate(estimate))
+    writer.close()
+    return decode_estimate(open_memo(tmp_path).point_get("p"))
+
+
+class TestEstimateCodec:
+    def test_roundtrip_is_bit_identical(self):
+        estimate = sample_estimate()
+        decoded = decode_estimate(encode_estimate(estimate))
+        assert decoded == estimate
+        assert decoded.area.as_dict() == estimate.area.as_dict()
+        assert decoded.operator_demand == estimate.operator_demand
+        assert decoded.memory_traffic == estimate.memory_traffic
+
+    @pytest.mark.parametrize("balance", [float("inf"), float("-inf")])
+    def test_infinite_balance_survives_journal_reload(self, tmp_path,
+                                                      balance):
+        estimate = replace(sample_estimate(), balance=balance)
+        assert reload_point(tmp_path, estimate).balance == balance
+
+    def test_compute_only_kernel_balance_survives_journal_reload(
+        self, tmp_path
+    ):
+        program = compile_source(
+            "int A[1]; int x; A[0] = 1;\n"
+            "for (i = 0; i < 8; i++) x = x + i * 3;"
+        )
+        estimate = get_backend("analytic").estimate(
+            program, wildstar_pipelined()
+        )
+        assert estimate.balance == float("inf")
+        assert reload_point(tmp_path, estimate).balance == float("inf")
+
+    def test_provenance_survives_journal_reload(self, tmp_path):
+        estimate = sample_estimate("placeroute")
+        decoded = reload_point(tmp_path, estimate)
+        assert decoded == estimate
+        assert decoded.provenance == estimate.provenance
+        assert decoded.provenance.backend == "placeroute"
+
+    def test_malformed_entry_raises_for_the_caller_to_count(self):
+        with pytest.raises(KeyError):
+            decode_estimate({"not": "an estimate"})
 
 
 class TestCounters:

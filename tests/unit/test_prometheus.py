@@ -1,7 +1,7 @@
 """Prometheus text exposition of registry snapshots (`GET /metrics`)."""
 
 from repro.obs import MetricsRegistry, metric_name, render_prometheus, use_registry
-from repro.synthesis.cache import EstimateCache
+from repro.incremental.memo import MemoStore
 
 
 def render(registry):
@@ -66,27 +66,19 @@ class TestGaugesAndHistograms:
         assert "repro_a 1" in render_prometheus(snapshot)
 
 
-class TestCacheEvictionsExposure:
-    """Satellite pin: the estimate cache's LRU evictions reach the
-    ambient registry as ``cache.evictions`` and survive the Prometheus
-    rendering — so a `/metrics` scrape (and `repro trace
-    --metrics-json`) can watch eviction pressure."""
+class TestPointMemoExposure:
+    """Satellite pin: point-memo lookups — the job payload's
+    ``cache_hits``/``cache_misses`` — reach the ambient registry and
+    survive the Prometheus rendering, so a `/metrics` scrape (and
+    `repro trace --metrics-json`) sees the persistent store's hit rate."""
 
-    def test_lru_eviction_increments_the_ambient_counter(self, tmp_path):
+    def test_point_lookups_reach_the_ambient_counters(self):
         registry = MetricsRegistry()
         with use_registry(registry):
-            cache = EstimateCache(
-                tmp_path / "estimates.json", max_entries=2
-            )
-            cache.merge({f"k{i}": {"cycles": i} for i in range(4)})
-        assert cache.evictions == 2
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["cache.evictions"] == 2
-        assert "repro_cache_evictions 2" in render_prometheus(snapshot)
-
-    def test_no_eviction_no_counter(self, tmp_path):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            cache = EstimateCache(tmp_path / "estimates.json", max_entries=8)
-            cache.merge({"k1": {"cycles": 1}})
-        assert "cache.evictions" not in registry.snapshot()["counters"]
+            memo = MemoStore()
+            memo.point_get("k")
+            memo.point_put("k", {"cycles": 1})
+            memo.point_get("k")
+        rendered = render_prometheus(registry.snapshot())
+        assert 'repro_incremental_memo_misses{domain="point"} 1' in rendered
+        assert 'repro_incremental_memo_hits{domain="point"} 1' in rendered

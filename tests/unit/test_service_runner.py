@@ -30,7 +30,7 @@ def _events(telemetry, name):
 
 # -- injected workers ---------------------------------------------------------
 
-def _ok_worker(payload, cache_path=None):
+def _ok_worker(payload):
     return {
         "job_id": payload["id"],
         "selected_unroll": [1, 1],
@@ -41,40 +41,42 @@ def _ok_worker(payload, cache_path=None):
     }
 
 
-def _failing_worker(payload, cache_path=None):
+def _failing_worker(payload):
     raise ValueError(f"boom for {payload['id']}")
 
 
-def _flaky_worker(payload, cache_path=None):
+def _flaky_worker(payload):
     """Fails on the first attempt; payload['program'] is a marker path."""
     marker = payload["program"]
     if not os.path.exists(marker):
         with open(marker, "w") as stream:
             stream.write("tried")
         raise RuntimeError("first attempt fails")
-    return _ok_worker(payload, cache_path)
+    return _ok_worker(payload)
 
 
-def _sleepy_worker(payload, cache_path=None):
+def _sleepy_worker(payload):
     time.sleep(2.0)
-    return _ok_worker(payload, cache_path)
+    return _ok_worker(payload)
 
 
-def _crashing_worker(payload, cache_path=None):
+def _crashing_worker(payload):
     if payload["id"].startswith("crash"):
         os._exit(3)  # simulate a segfaulting worker process
-    return _ok_worker(payload, cache_path)
+    return _ok_worker(payload)
 
 
-def _permanent_worker(payload, cache_path=None):
+def _permanent_worker(payload):
     raise CorruptEstimate("backend returned garbage")
 
 
-def _recording_worker(payload, cache_path=None):
-    """Appends its job id to the cache_path file — an execution log."""
-    with open(cache_path, "a") as stream:
-        stream.write(payload["id"] + "\n")
-    return _ok_worker(payload, cache_path)
+def _recording_worker(log):
+    """A worker that appends each job id it runs to ``log``."""
+    def worker(payload):
+        with open(log, "a") as stream:
+            stream.write(payload["id"] + "\n")
+        return _ok_worker(payload)
+    return worker
 
 
 # -- serial path --------------------------------------------------------------
@@ -114,10 +116,10 @@ class TestSerial:
             _spec("bad", max_attempts=1), _spec("good", max_attempts=1)
         )
 
-        def worker(payload, cache_path=None):
+        def worker(payload):
             if payload["id"] == "bad":
                 raise ValueError("nope")
-            return _ok_worker(payload, cache_path)
+            return _ok_worker(payload)
 
         result = BatchRunner(manifest, workers=1, worker=worker).run()
         assert [r.status for r in result.results] == ["failed", "ok"]
@@ -246,10 +248,10 @@ class TestSerialFallback:
             assert record.get("payload") == other.get("payload")
 
 
-def _mixed_worker(payload, cache_path=None):
+def _mixed_worker(payload):
     if payload["id"] == "bad":
         raise ValueError("always fails")
-    return _ok_worker(payload, cache_path)
+    return _ok_worker(payload)
 
 
 # -- typed failures ------------------------------------------------------------
@@ -334,8 +336,8 @@ class TestLedgerIntegration:
         run_dir = tmp_path / "run"
         ledger = RunLedger.create(run_dir, manifest)
         first = BatchRunner(
-            manifest, workers=1, worker=_recording_worker,
-            cache_path=log, ledger=ledger,
+            manifest, workers=1, worker=_recording_worker(log),
+            ledger=ledger,
         ).run()
         ledger.close()
         assert first.all_ok
@@ -344,8 +346,8 @@ class TestLedgerIntegration:
         ledger2, manifest2, state = RunLedger.resume(run_dir)
         telemetry = Telemetry()
         second = BatchRunner(
-            manifest2, workers=1, worker=_recording_worker,
-            cache_path=log, ledger=ledger2, resume_state=state,
+            manifest2, workers=1, worker=_recording_worker(log),
+            ledger=ledger2, resume_state=state,
             telemetry=telemetry,
         ).run()
         ledger2.close()
@@ -375,8 +377,8 @@ class TestLedgerIntegration:
         assert set(state.completed) == {"a"}
         assert state.in_flight == {"b": 2}
         result = BatchRunner(
-            manifest2, workers=1, worker=_recording_worker,
-            cache_path=log, ledger=ledger2, resume_state=state,
+            manifest2, workers=1, worker=_recording_worker(log),
+            ledger=ledger2, resume_state=state,
         ).run()
         ledger2.close()
         assert log.read_text().splitlines() == ["b"]  # only b re-ran

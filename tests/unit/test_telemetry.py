@@ -145,10 +145,8 @@ class TestSummary:
     def test_robustness_rows_shown_when_nonzero(self):
         summary = summarize_events([])
         summary.update(telemetry_dropped=2, ledger_dropped=1, resumed=3,
-                       estimator_retries=4, deadline_hits=1,
-                       cache_evictions=9)
+                       estimator_retries=4, deadline_hits=1)
         rendered = batch_summary_table(summary).render()
         for label in ("telemetry drops", "ledger drops", "jobs resumed",
-                      "estimator retries", "deadline hits",
-                      "cache evictions"):
+                      "estimator retries", "deadline hits"):
             assert label in rendered
