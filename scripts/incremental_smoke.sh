@@ -4,7 +4,9 @@
 # lookups from the memo, a "restart" (fresh process, same memo dir)
 # stays warm, and `--no-incremental` still prints no memo line.  Then
 # the same through the server: /metrics exposes the
-# incremental.memo.{hits,misses,invalidations} counters after a job.
+# incremental.memo.{hits,misses,invalidations} counters after a job,
+# and a second job on the same pool process catches the resident memo
+# store up instead of replaying the whole journal.
 # Run from the repo root: bash scripts/incremental_smoke.sh
 set -euo pipefail
 
@@ -100,6 +102,17 @@ done
 [ -d "$workdir/state/memo" ] \
     || { echo "FAIL: server grew no <state-dir>/memo journal"; exit 1; }
 echo "OK: memo stats in payload, counters in /metrics, journal on disk"
+
+echo "== server: a second job catches the resident memo up =="
+second_id="$(python -m repro submit kernel:jac --server "$SRV" 2>/dev/null | head -1)"
+python -m repro result "$second_id" --server "$SRV" --wait \
+    --wait-timeout 240 > /dev/null
+curl -fsS "$SRV/metrics" > "$workdir/metrics.txt"
+catch_ups="$(awk '/^repro_incremental_memo_replays\{mode="catch_up"\}/ {print $2}' \
+    "$workdir/metrics.txt")"
+awk -v n="${catch_ups:-0}" 'BEGIN { exit !(n >= 1) }' \
+    || { echo "FAIL: no catch-up replay (got '${catch_ups}')"; exit 1; }
+echo "OK: $catch_ups catch-up replay(s), the pool process stayed resident"
 
 kill -TERM "$server_pid"
 wait "$server_pid" || { echo "FAIL: drain failed"; exit 1; }

@@ -227,9 +227,11 @@ class ExploreConfig:
     #: :mod:`repro.incremental`) — on by default; ``--no-incremental``
     #: turns it off and every point runs from scratch.
     incremental: bool = True
-    #: an existing :class:`repro.incremental.MemoStore` to reuse (the
-    #: batch worker and fleet shard paths share one per process);
-    #: ``None`` constructs a fresh store per call.
+    #: an existing :class:`repro.incremental.MemoStore` to run against;
+    #: batch and server jobs and fleet walk shards pass their process's
+    #: resident store (:func:`repro.incremental.resident_memo`).  The
+    #: run flushes it but leaves it open.  ``None`` constructs a fresh
+    #: store per call.
     memo: Optional[Any] = None
     #: directory for the persistent memo journal (convention:
     #: ``<run-dir or state-dir>/memo``); only consulted when ``memo``

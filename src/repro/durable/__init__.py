@@ -15,12 +15,14 @@ from repro.durable.journal import (
     SNAPSHOT_EVENT,
     DamagedRecord,
     DurableJournal,
+    JournalPosition,
     JournalScan,
     frame_record,
     quarantine_path,
     quarantine_records,
     record_crc,
     scan_journal,
+    scan_journal_since,
     segment_paths,
     verify_line,
 )
@@ -43,6 +45,7 @@ __all__ = [
     "DamagedRecord",
     "DurableJournal",
     "FileLock",
+    "JournalPosition",
     "JournalReport",
     "JournalScan",
     "RepairReport",
@@ -56,6 +59,7 @@ __all__ = [
     "repair_journal",
     "repair_path",
     "scan_journal",
+    "scan_journal_since",
     "segment_paths",
     "verify_line",
 ]

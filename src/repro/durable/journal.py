@@ -46,11 +46,18 @@ the job store quarantines corrupt records to a ``.quarantine`` sidecar
 and keeps replaying; ``repro fsck --repair`` truncates torn tails and
 rewrites clean segments.
 
+**Group commit and resumable scans.**  :meth:`DurableJournal.append_many`
+writes a batch of records and fsyncs once; ``append`` is the batch of
+one, so there is a single write path.  :func:`scan_journal` records
+where it stopped (:class:`JournalPosition`), and
+:func:`scan_journal_since` reads only what was appended after that,
+refusing whenever the segment chain has changed underneath it.
+
 Fault sites (see :mod:`repro.faults`): ``disk_full`` fires before every
-append (an ``io_error`` rule turns it into ENOSPC), ``journal_bitflip``
-flips one deterministic bit in the serialized line, ``journal_torn``
-truncates the line mid-record and suppresses the newline — the three
-ways a journal append lies, injectable on demand.
+appended record (an ``io_error`` rule turns it into ENOSPC),
+``journal_bitflip`` flips one deterministic bit in the serialized line,
+``journal_torn`` truncates the line mid-record and suppresses the
+newline — the three ways a journal append lies, injectable on demand.
 """
 
 from __future__ import annotations
@@ -62,7 +69,9 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
+)
 
 from repro import faults
 
@@ -179,6 +188,29 @@ class DamagedRecord:
         return f"{self.segment}:{self.lineno}:{digest:08x}"
 
 
+#: How many consumed bytes a :class:`JournalPosition` keeps to recognise
+#: its segment again.
+_TAIL_BYTES = 64
+
+
+@dataclass(frozen=True)
+class JournalPosition:
+    """Where a scan stopped, so a later scan can resume there.
+
+    ``chain`` is the segment chain the scan read, oldest first, as
+    ``(name, inode)`` pairs.  ``offset`` counts the bytes of the last
+    segment it consumed: every complete line, never a final line whose
+    newline has not landed yet.  ``lines`` is how many lines those bytes
+    hold, and ``tail`` their last few bytes, so a segment rewritten in
+    place under the same inode is not taken for one that only grew.
+    """
+
+    chain: Tuple[Tuple[str, int], ...] = ()
+    offset: int = 0
+    lines: int = 0
+    tail: bytes = b""
+
+
 @dataclass
 class JournalScan:
     """Everything one pass over a journal's segments learned."""
@@ -192,10 +224,48 @@ class JournalScan:
     framed_records: int = 0
     legacy_records: int = 0
     snapshot_records: int = 0
+    #: where the scan stopped; ``None`` when a segment could not be read
+    position: Optional[JournalPosition] = None
 
     @property
     def total_records(self) -> int:
         return len(self.records)
+
+
+def _read_segment(path: Path, start: int = 0) -> Tuple[int, bytes]:
+    """``(inode, bytes from start to end)`` of one segment."""
+    with open(path, "rb") as stream:
+        inode = os.fstat(stream.fileno()).st_ino
+        stream.seek(start)
+        return inode, stream.read()
+
+
+def _scan_lines(scan: JournalScan, segment: str, lines: List[str],
+                damaged: List[DamagedRecord], first_lineno: int = 1
+                ) -> Optional[Tuple[str, int]]:
+    """Verify ``lines`` into ``scan``; returns the last non-blank line's
+    ``(segment, lineno)``."""
+    last_entry = None
+    for lineno, line in enumerate(lines, start=first_lineno):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        last_entry = (segment, lineno)
+        record, problem = verify_line(stripped)
+        if problem is not None:
+            damaged.append(DamagedRecord(
+                segment=segment, lineno=lineno,
+                problem=problem, raw=stripped,
+            ))
+            continue
+        if FRAME_FIELD in stripped:
+            scan.framed_records += 1
+        else:
+            scan.legacy_records += 1
+        if record.get("event") == SNAPSHOT_EVENT:
+            scan.snapshot_records += 1
+        scan.records.append(record)
+    return last_entry
 
 
 def scan_journal(directory: Path, prefix: str) -> JournalScan:
@@ -210,36 +280,85 @@ def scan_journal(directory: Path, prefix: str) -> JournalScan:
     scan = JournalScan(segments=segment_paths(directory, prefix))
     damaged: List[DamagedRecord] = []
     last_entry: Optional[Tuple[str, int]] = None  # (segment name, lineno)
+    chain: Optional[List[Tuple[str, int]]] = []
+    data, lines = b"", []
     for segment in scan.segments:
         try:
-            text = segment.read_text(errors="replace")
+            inode, data = _read_segment(segment)
         except OSError:
+            chain = None
             continue
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            last_entry = (segment.name, lineno)
-            record, problem = verify_line(stripped)
-            if problem is not None:
-                damaged.append(DamagedRecord(
-                    segment=segment.name, lineno=lineno,
-                    problem=problem, raw=stripped,
-                ))
-                continue
-            if FRAME_FIELD in stripped:
-                scan.framed_records += 1
-            else:
-                scan.legacy_records += 1
-            if record.get("event") == SNAPSHOT_EVENT:
-                scan.snapshot_records += 1
-            scan.records.append(record)
+        if chain is not None:
+            chain.append((segment.name, inode))
+        lines = data.decode("utf-8", "replace").splitlines()
+        last_entry = _scan_lines(
+            scan, segment.name, lines, damaged
+        ) or last_entry
     if damaged and last_entry is not None:
         tail = damaged[-1]
         if (tail.segment, tail.lineno) == last_entry:
             scan.torn_tail = tail
             damaged = damaged[:-1]
     scan.corrupt = damaged
+    if chain is not None:
+        offset = data.rfind(b"\n") + 1
+        if offset < len(data):
+            # The final line has no newline yet: leave it unconsumed.
+            lines = data[:offset].decode("utf-8", "replace").splitlines()
+        scan.position = JournalPosition(
+            chain=tuple(chain), offset=offset, lines=len(lines),
+            tail=data[max(0, offset - _TAIL_BYTES):offset],
+        )
+    return scan
+
+
+def scan_journal_since(directory: Path, prefix: str,
+                       position: JournalPosition) -> Optional[JournalScan]:
+    """The records appended after ``position``; ``None`` when the journal
+    can no longer be resumed from there.
+
+    Resuming needs the same segment chain, names and inodes, whose last
+    segment still ends its consumed bytes with ``position.tail``; a
+    journal that did not exist at ``position`` may since have gained its
+    first segment.  Rotation, compaction, a repair rewrite, truncation
+    and read errors all return ``None``, and the caller rescans from the
+    start.  Only complete lines are consumed: a final line whose newline
+    has not landed is left for the next call, so the result never has a
+    torn tail.  Damaged complete lines are reported in ``corrupt``.
+    """
+    paths = segment_paths(directory, prefix)
+    names = [path.name for path in paths]
+    if position.chain:
+        if names != [name for name, _ in position.chain]:
+            return None
+    elif len(paths) > 1:
+        return None
+    scan = JournalScan(segments=paths, position=position)
+    if not paths:
+        return scan
+    start = position.offset - len(position.tail)
+    try:
+        for path, (_, inode) in zip(paths[:-1], position.chain[:-1]):
+            if os.stat(path).st_ino != inode:
+                return None
+        inode, data = _read_segment(paths[-1], start)
+    except OSError:
+        return None
+    chain = position.chain or ((names[-1], inode),)
+    if inode != chain[-1][1] or not data.startswith(position.tail):
+        return None
+    data = data[len(position.tail):]
+    consumed = data.rfind(b"\n") + 1
+    lines = data[:consumed].decode("utf-8", "replace").splitlines()
+    damaged: List[DamagedRecord] = []
+    _scan_lines(scan, paths[-1].name, lines, damaged, position.lines + 1)
+    scan.corrupt = damaged
+    offset = position.offset + consumed
+    kept = position.tail + data[:consumed]
+    scan.position = JournalPosition(
+        chain=chain, offset=offset,
+        lines=position.lines + len(lines), tail=kept[-_TAIL_BYTES:],
+    )
     return scan
 
 
@@ -296,9 +415,10 @@ class DurableJournal:
     """Append-only writer over a journal's segment chain.
 
     One instance owns the *active* segment: the newest existing segment
-    at open time (the legacy base name for a fresh journal).  ``append``
-    frames, writes, flushes, and fsyncs one line, rotating first when
-    the active segment has outgrown ``max_segment_bytes`` or
+    at open time (the legacy base name for a fresh journal).
+    ``append_many`` frames and writes a batch of lines, then flushes and
+    fsyncs once; ``append`` is the batch of one.  Each record rotates
+    first when the active segment has outgrown ``max_segment_bytes`` or
     ``max_segment_age_s``.  OSErrors propagate to the caller — append
     policy (required vs counted-drop vs read-only degradation) is the
     owner's concern, not the transport's.
@@ -325,6 +445,8 @@ class DurableJournal:
         self.max_segment_bytes = max(1, int(max_segment_bytes))
         self.max_segment_age_s = max_segment_age_s
         self.damaged_writes = 0
+        #: records written and covered by a completed fsync
+        self.appended = 0
         self.rotations = 0
         self.compactions = 0
         self._clock = clock
@@ -380,45 +502,70 @@ class DurableJournal:
         (ENOSPC, EIO, …) and serialization errors propagate — policy
         belongs to the owner.
         """
+        return self.append_many([record])
+
+    def append_many(self, records: Iterable[Mapping[str, Any]]) -> bool:
+        """Frame and write every record, then flush and fsync once;
+        returns ``True`` when the batch rotated onto a new segment.
+
+        Group commit: a batch costs one fsync per segment it wrote to,
+        because the outgoing segment is fsync'd before a rotation in the
+        middle of the batch.  The fault sites fire once per record, so
+        the bytes on disk are the ones one-at-a-time appends would
+        leave.  When a record fails, the records before it are flushed
+        and fsync'd before the error propagates; :attr:`appended` counts
+        every record a completed fsync covered.  Errors propagate as in
+        :meth:`append`.
+        """
         if self._stream is None:
             raise JournalClosed(f"journal {self.prefix} is closed")
-        faults.check("disk_full", key=self.prefix)
-        rotated = self._maybe_rotate()
+        rotated = False
+        unsynced = 0
+        try:
+            for record in records:
+                faults.check("disk_full", key=self.prefix)
+                if self._due_for_rotation():
+                    if unsynced:
+                        self._sync()
+                        self.appended += unsynced
+                        unsynced = 0
+                    self.rotate()
+                    rotated = True
+                self._write(record)
+                unsynced += 1
+        finally:
+            if unsynced:
+                self._sync()
+                self.appended += unsynced
+        return rotated
+
+    def _write(self, record: Mapping[str, Any]) -> None:
         line = frame_record(record)
         written = line
         if self._line_filter is not None:
             written = self._line_filter(written)
         written = faults.mangle("journal_bitflip", written, key=self.prefix)
         torn = faults.mangle("journal_torn", written, key=self.prefix)
-        damaged = torn != line
-        if torn != written:
-            # A torn write stops mid-record: no newline ever lands.
-            self._write(torn, newline=False)
-        else:
-            self._write(written, newline=True)
-        if damaged:
+        # A torn write stops mid-record: no newline ever lands.
+        data = torn if torn != written else written + "\n"
+        self._stream.write(data)
+        self._active_bytes += len(data.encode("utf-8", "replace"))
+        if torn != line:
             self.damaged_writes += 1
             if self._on_damage is not None:
                 self._on_damage()
-        return rotated
 
-    def _write(self, text: str, newline: bool) -> None:
-        data = text + ("\n" if newline else "")
-        self._stream.write(data)
+    def _sync(self) -> None:
         self._stream.flush()
         os.fsync(self._stream.fileno())
-        self._active_bytes += len(data.encode("utf-8", "replace"))
 
-    def _maybe_rotate(self) -> bool:
+    def _due_for_rotation(self) -> bool:
         over_size = self._active_bytes >= self.max_segment_bytes
         over_age = (
             self.max_segment_age_s is not None
             and self._clock() - self._opened_at >= self.max_segment_age_s
         )
-        if not over_size and not over_age:
-            return False
-        self.rotate()
-        return True
+        return over_size or over_age
 
     def rotate(self) -> Path:
         """Close the active segment and start the next numbered one."""
@@ -521,6 +668,7 @@ __all__ = [
     "DamagedRecord",
     "DurableJournal",
     "JournalClosed",
+    "JournalPosition",
     "JournalScan",
     "canonical_json",
     "frame_record",
@@ -528,6 +676,7 @@ __all__ = [
     "quarantine_records",
     "record_crc",
     "scan_journal",
+    "scan_journal_since",
     "segment_paths",
     "verify_line",
 ]

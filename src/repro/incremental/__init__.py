@@ -16,7 +16,8 @@ Layout:
   hit/miss/invalidation counters, the estimate and schedule codecs, and
   the ambient :func:`use_memo` context the pipeline and estimator consult
 * :mod:`~repro.incremental.journal` — the persistent, flock-guarded,
-  CRC-framed cross-run memo journal (``memo.jsonl`` segments)
+  CRC-framed cross-run memo journal (``memo.jsonl`` segments) and the
+  resident store worker entry points keep between jobs
 * :mod:`~repro.incremental.delta` — structural region deltas between
   neighboring points, for the ``dse.point`` span attributes
 """
@@ -45,6 +46,8 @@ from repro.incremental.journal import (
     MEMO_PREFIX,
     MemoJournal,
     open_memo,
+    release_memo,
+    resident_memo,
 )
 
 __all__ = [
@@ -67,6 +70,8 @@ __all__ = [
     "program_hash",
     "region_delta",
     "region_fingerprint",
+    "release_memo",
+    "resident_memo",
     "schedule_context",
     "use_memo",
 ]

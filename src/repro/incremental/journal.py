@@ -20,39 +20,61 @@ compaction, whose ``state`` holds the full entry map.
 
 **Write policy.**  Appends are *buffered* and flushed in batch (end of
 an exploration, end of a worker job) under one flock-guarded
-:class:`~repro.durable.lock.FileLock` — ``DurableJournal.append``
-fsyncs every record, so journaling inline with evaluation would cost
-more than the work the memo saves.  A lost buffer is harmless: memo
-entries are re-learnable, so the journal is best-effort durable where
-the job store is required-durable.  Every write failure degrades to
-in-memory operation and is counted, never raised.
+:class:`~repro.durable.lock.FileLock`.  A flush is one group commit
+(``DurableJournal.append_many``): every buffered record is written,
+then fsync'd once, so journaling costs one fsync per job rather than
+one per entry.  A lost buffer is harmless: memo entries are
+re-learnable, so the journal is best-effort durable where the job store
+is required-durable.  Every write failure degrades to in-memory
+operation and is counted, never raised.
 
 **Read policy.**  ``load`` replays every good record through the
 store's idempotent adopt path and counts every damaged one as an
 ``incremental.memo.invalidations`` (a corrupt memo record is simply a
 memo we no longer have).  Replay never raises: a journal ruined
 end-to-end loads as an empty memo and the walk runs from scratch —
-the chaos suite pins exactly this degradation.
+the chaos suite pins exactly this degradation.  ``catch_up`` replays
+only the complete lines appended since the last load or catch-up, with
+the same checks; it refuses, and the caller replays in full, whenever
+the segment chain has changed since (rotation, compaction, an ``fsck
+--repair`` rewrite) or the active segment no longer holds what was
+read.  ``incremental.memo.replays{mode="full"|"catch_up"}`` counts
+both.
+
+**Resident stores.**  :func:`resident_memo` is how long-lived worker
+entry points (batch and server jobs, fleet shards) get their store: one
+per memo directory per process, kept between jobs and caught up before
+each one, so a job's memo cost grows with the records written since the
+previous job, not with the journal's history.  ``explore(memo_dir=...)``
+and :func:`open_memo` replay in full on every call.
 
 Fault sites come with the substrate: ``disk_full``,
 ``journal_bitflip``, and ``journal_torn`` keyed on ``"memo"`` fire
-inside ``append``, so corruption is injectable mid-run without any
-code here knowing about it.
+once per record inside ``append_many``, so corruption is injectable
+mid-run without any code here knowing about it.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro.durable.journal import (
     DurableJournal,
+    JournalPosition,
+    JournalScan,
     SNAPSHOT_EVENT,
     scan_journal,
+    scan_journal_since,
     segment_paths,
 )
 from repro.durable.lock import FileLock
+from repro.obs import current_registry
 
 #: The journal's segment prefix (``memo.jsonl``, ``memo.0001.jsonl``, …).
 MEMO_PREFIX = "memo"
@@ -95,7 +117,10 @@ class MemoJournal:
         )
         self._pending: List[Tuple[str, str, Any]] = []
         self._store = None
+        #: where the last load or catch-up stopped reading
+        self._position: Optional[JournalPosition] = None
         self.write_failures = 0
+        self.damaged_writes = 0
         self.records_flushed = 0
         self.records_loaded = 0
         self.compactions = 0
@@ -111,11 +136,41 @@ class MemoJournal:
         writer's vocabulary must not wedge an older reader).
         """
         self._store = store
-        adopted = 0
+        self._position = None
         try:
             scan = scan_journal(self.directory, MEMO_PREFIX)
         except Exception:
             return 0
+        self._position = scan.position
+        current_registry().counter("incremental.memo.replays",
+                                   mode="full").inc()
+        return self._replay(store, scan)
+
+    def catch_up(self, store) -> bool:
+        """Adopt into ``store`` what was appended since the last
+        :meth:`load` or catch-up; ``False`` when the journal cannot be
+        resumed from there and the caller must :meth:`load` afresh.
+
+        Records are checked exactly as ``load`` checks them, and a
+        final line whose newline has not landed is left for next time.
+        """
+        if self._position is None:
+            return False
+        try:
+            scan = scan_journal_since(self.directory, MEMO_PREFIX,
+                                      self._position)
+        except Exception:
+            scan = None
+        if scan is None:
+            return False
+        self._position = scan.position
+        current_registry().counter("incremental.memo.replays",
+                                   mode="catch_up").inc()
+        self._replay(store, scan)
+        return True
+
+    def _replay(self, store, scan: JournalScan) -> int:
+        adopted = 0
         damaged = len(scan.corrupt) + (1 if scan.torn_tail else 0)
         if damaged:
             store.invalidate(damaged, reason="corrupt")
@@ -165,43 +220,43 @@ class MemoJournal:
         self._pending.append((domain, key, value))
 
     def flush(self) -> int:
-        """Append every buffered entry under the cross-process lock.
+        """Append every buffered entry under the cross-process lock, as
+        one group commit.
 
         Returns how many records landed.  Failures (lock timeout, disk
         full, any OSError — including the injected ``disk_full`` fault)
-        are counted on :attr:`write_failures` and the batch is dropped:
-        the memo keeps working in memory and re-learns on the next cold
-        walk, which is exactly the degradation contract.
+        are counted on :attr:`write_failures` and the rest of the batch
+        is dropped: the memo keeps working in memory and re-learns on
+        the next cold walk, which is exactly the degradation contract.
         """
         if not self._pending:
             return 0
         pending, self._pending = self._pending, []
-        written = 0
+        journal = None
         try:
             with self._lock:
                 journal = self._open()
                 try:
-                    for domain, key, value in pending:
-                        journal.append({
-                            "ts": self._clock(),
-                            "schema_version": 1,
-                            "event": MEMO_EVENT,
-                            "domain": domain,
-                            "key": key,
-                            "value": value,
-                        })
-                        written += 1
+                    journal.append_many({
+                        "ts": self._clock(),
+                        "schema_version": 1,
+                        "event": MEMO_EVENT,
+                        "domain": domain,
+                        "key": key,
+                        "value": value,
+                    } for domain, key, value in pending)
                     self._maybe_compact(journal)
                 finally:
                     journal.close()
         except (OSError, TimeoutError):
+            written = journal.appended if journal is not None else 0
             self.write_failures += 1
             if self._store is not None:
                 self._store.invalidate(len(pending) - written,
                                        reason="write_failed")
             return written
-        self.records_flushed += written
-        return written
+        self.records_flushed += len(pending)
+        return len(pending)
 
     def _open(self) -> DurableJournal:
         journal = DurableJournal(
@@ -216,6 +271,7 @@ class MemoJournal:
     def _on_damage(self) -> None:
         # A fault-mangled append (bitflip/torn) is a record the next
         # load will reject — count the loss where it happens.
+        self.damaged_writes += 1
         if self._store is not None:
             self._store.invalidate(reason="damaged_write")
 
@@ -269,13 +325,20 @@ class MemoJournal:
     def pending(self) -> int:
         return len(self._pending)
 
+    @property
+    def diverged(self) -> bool:
+        """Whether a write failed or landed damaged, so the store may
+        hold entries the journal does not."""
+        return bool(self.write_failures or self.damaged_writes)
+
 
 def open_memo(directory: Optional[Path]):
     """The standard construction: a :class:`MemoStore`, journal-backed
     when ``directory`` is given, ephemeral otherwise.
 
-    This is what every entry point (explore, batch worker, server
-    scheduler, fleet shard) calls; the directory convention is
+    Every call replays the journal in full; this is what ``explore``
+    uses when handed a ``memo_dir``, and what :func:`resident_memo`
+    falls back to.  The directory convention is
     ``<run-dir or state-dir>/memo/``.
     """
     from repro.incremental.memo import MemoStore
@@ -284,3 +347,52 @@ def open_memo(directory: Optional[Path]):
     if directory is not None:
         store.attach_journal(MemoJournal(Path(directory)))
     return store
+
+
+#: This process's resident stores, by absolute memo directory.  A job
+#: checks its store out of the map for its whole run, so concurrent jobs
+#: in one process never share one.
+_resident: Dict[str, Any] = {}
+
+
+@contextmanager
+def resident_memo(directory: Optional[Union[str, Path]]
+                  ) -> Iterator[Any]:
+    """The memo store one worker job runs against.
+
+    With a directory, the process keeps one store per directory between
+    jobs.  Each job checks it out, catches it up on what other writers
+    appended (:meth:`MemoJournal.catch_up`), and falls back to a full
+    replay when the journal cannot be resumed.  Each job starts fresh
+    tallies, with the memo counters registered at zero in the ambient
+    registry.  The store goes back only when the journal holds
+    everything it does.  A failed or damaged flush, an unflushed buffer
+    or an exception evicts it, and the next job replays from disk and
+    re-records what was lost, as a fresh store would.  A job that finds
+    the store checked out by another thread replays in full.
+
+    Without a directory every job gets a fresh ephemeral store.
+    """
+    if directory is None:
+        yield open_memo(None)
+        return
+    key = os.path.abspath(directory)
+    store = _resident.pop(key, None)
+    if store is not None:
+        store.reset_tallies()
+        if not store._journal.catch_up(store):
+            store = None
+    if store is None:
+        store = open_memo(Path(directory))
+    yield store
+    journal = store._journal
+    if not journal.pending and not journal.diverged:
+        _resident[key] = store
+
+
+def release_memo(directory: Optional[Union[str, Path]]) -> None:
+    """Drop this process's resident store for ``directory``: the next
+    job replays the journal in full.  In-process runners call this when
+    they stop, so a later run starts from disk."""
+    if directory is not None:
+        _resident.pop(os.path.abspath(directory), None)

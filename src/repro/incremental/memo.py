@@ -33,12 +33,14 @@ deterministic, and values round-trip through the JSON codecs below
 (``tests/property/test_prop_incremental.py``) pins estimates and
 selections bit-identical for every kernel x strategy combination.
 
-**Counters.**  ``incremental.memo.{hits,misses,invalidations}`` and
+**Counters.**  ``incremental.memo.{hits,misses,invalidations}``,
+``incremental.memo.replays{mode="full"|"catch_up"}`` and
 ``incremental.delta.reused_regions`` are registered at zero on
-construction so ``/metrics`` always exposes them; per-domain series
-(``incremental.memo.hits{domain=...}``) ride alongside.  The point
-domain's own tallies (:attr:`MemoStore.point_hits` /
-:attr:`MemoStore.point_misses`) are what job payloads report as
+construction (and by :meth:`MemoStore.reset_tallies`, when a resident
+store starts another job) so ``/metrics`` always exposes them;
+per-domain series (``incremental.memo.hits{domain=...}``) ride
+alongside.  The point domain's own tallies (:attr:`MemoStore.point_hits`
+/ :attr:`MemoStore.point_misses`) are what job payloads report as
 ``cache_hits`` / ``cache_misses``.
 """
 
@@ -175,12 +177,18 @@ class MemoStore:
         self._verified: Set[str] = set()
         self._schedules: Dict[str, dict] = {}
         self._journal = None
+        self._point_stats: Optional[PointStats] = None
+        self.reset_tallies()
+
+    def reset_tallies(self) -> None:
+        """Zero the hit, miss and invalidation tallies and the delta
+        ledger, and register the memo counters at zero in the ambient
+        registry: what one job's stats start from."""
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.point_hits = 0
         self.point_misses = 0
-        self._point_stats: Optional[PointStats] = None
         #: region fingerprints of the previous evaluated point, for the
         #: structural-delta span attributes (see repro.incremental.delta).
         self.previous_regions: Optional[List[str]] = None
@@ -189,6 +197,8 @@ class MemoStore:
         registry.counter("incremental.memo.hits")
         registry.counter("incremental.memo.misses")
         registry.counter("incremental.memo.invalidations")
+        registry.counter("incremental.memo.replays", mode="full")
+        registry.counter("incremental.memo.replays", mode="catch_up")
         registry.counter("incremental.delta.reused_regions")
 
     # -- sizes ----------------------------------------------------------------

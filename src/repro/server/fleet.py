@@ -52,7 +52,9 @@ from repro.obs import current_registry
 from repro.server.leases import DEFAULT_LEASE_TTL_S, LeaseTable
 from repro.server.store import JobStore, ServerJob
 from repro.service.jobs import JobSpec
-from repro.service.worker import build_options, load_program, resolve_board
+from repro.service.worker import (
+    build_options, job_memo, load_program, resolve_board,
+)
 
 #: Default points per shard — small enough that a kernel's lattice
 #: (18–42 points on the five paper kernels) spreads across workers,
@@ -217,23 +219,16 @@ def execute_shard(payload: Mapping[str, Any]) -> Dict[str, Any]:
     program, kernel = load_program(spec.program)
     board = resolve_board(spec.board)
     _search, options = build_options(spec, kernel)
-    from contextlib import ExitStack
     from repro.dse.space import DesignSpace
+    from repro.incremental import use_memo
     from repro.transform.unroll import UnrollVector
     space = DesignSpace(program, board, options, backend=spec.backend)
     started = time.perf_counter()
     evaluated: List[Dict[str, Any]] = []
-    memo = None
-    with ExitStack() as stack:
-        if runtime.get("incremental", True):
-            # Point shards share schedule/legality/verify work across
-            # their points; with a memo_dir, across shards and runs too.
-            from pathlib import Path
-            from repro.incremental import use_memo
-            from repro.incremental.journal import open_memo
-            memo_dir = runtime.get("memo_dir")
-            memo = open_memo(Path(memo_dir) if memo_dir else None)
-            stack.enter_context(use_memo(memo))
+    memo_stats = None
+    # Point shards share schedule/legality/verify work across their
+    # points; with a memo_dir, across shards and runs too.
+    with job_memo(runtime) as memo, use_memo(memo):
         for raw_point in payload.get("points", ()):
             vector = UnrollVector(tuple(int(f) for f in raw_point))
             evaluation = space.try_evaluate(vector)
@@ -246,6 +241,15 @@ def execute_shard(payload: Mapping[str, Any]) -> Dict[str, Any]:
                 "balance": evaluation.balance,
                 "fits": evaluation.estimate.fits(board),
             })
+        if memo is not None:
+            # Flush before reading the tallies: a failed or damaged
+            # journal write counts invalidations, and those belong in
+            # this shard's stats.
+            memo.flush()
+            memo_stats = {
+                "hits": memo.hits, "misses": memo.misses,
+                "invalidations": memo.invalidations,
+            }
     out = {
         "shard_id": shard_id,
         "job_id": payload.get("job_id", spec.id),
@@ -256,12 +260,8 @@ def execute_shard(payload: Mapping[str, Any]) -> Dict[str, Any]:
         ],
         "wall_seconds": time.perf_counter() - started,
     }
-    if memo is not None:
-        out["memo"] = {
-            "hits": memo.hits, "misses": memo.misses,
-            "invalidations": memo.invalidations,
-        }
-        memo.flush()
+    if memo_stats is not None:
+        out["memo"] = memo_stats
     return out
 
 
@@ -280,18 +280,17 @@ def _execute_walk_shard(payload: Mapping[str, Any]) -> Dict[str, Any]:
     program, kernel = load_program(spec.program)
     board = resolve_board(spec.board)
     search_options, pipeline_options = build_options(spec, kernel)
-    from pathlib import Path
     from repro.dse import DEFAULT_STRATEGY, ExploreConfig, explore
-    memo_dir = runtime.get("memo_dir")
     started = time.perf_counter()
-    result = explore(program, board, config=ExploreConfig(
-        search=search_options,
-        pipeline=pipeline_options,
-        backend=spec.backend,
-        fidelity=spec.fidelity,
-        incremental=bool(runtime.get("incremental", True)),
-        memo_dir=Path(memo_dir) if memo_dir else None,
-    ))
+    with job_memo(runtime) as memo:
+        result = explore(program, board, config=ExploreConfig(
+            search=search_options,
+            pipeline=pipeline_options,
+            backend=spec.backend,
+            fidelity=spec.fidelity,
+            incremental=memo is not None,
+            memo=memo,
+        ))
     out: Dict[str, Any] = {
         "shard_id": shard_id,
         "job_id": payload.get("job_id", spec.id),

@@ -30,7 +30,8 @@ Robustness, layer by layer:
   and serialized on purpose: the worker installs the process-wide
   ambient tracer/registry while it runs, so in-process jobs must not
   overlap.  The ``server.pool_unavailable`` counter records the
-  degradation.
+  degradation.  The thread's jobs share one resident memo store, which
+  drain releases.
 
 Fault site ``server`` is consulted once per dispatch (keyed by the job
 id), which is where the chaos suite injects ``kill`` to murder the
@@ -52,6 +53,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from repro import faults
+from repro.incremental.journal import release_memo
 from repro.obs import MetricsRegistry
 from repro.server.store import JobStore, ServerJob
 from repro.service.runner import JobFailure
@@ -348,6 +350,9 @@ class Scheduler:
             # stuck on this thread, and drain must not hang behind it.
             self._serial.shutdown(wait=False, cancel_futures=True)
             self._serial = None
+            # The in-process jobs are over: drop their resident memo
+            # store, so a later server in this process reads the disk.
+            release_memo(self.memo_dir)
 
     # -- observations ----------------------------------------------------------
 

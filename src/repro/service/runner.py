@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.incremental.journal import release_memo
 from repro.obs import MetricsRegistry, use_registry
 from repro.service.jobs import BatchManifest, JobSpec
 from repro.service.ledger import LedgerState, RunLedger
@@ -375,20 +376,27 @@ class BatchRunner:
     def _run_serial(
         self, queue: List[Tuple[JobSpec, int]], results: Dict[str, JobResult]
     ) -> None:
-        """In-process execution: same worker function, no preemption."""
+        """In-process execution: same worker function, no preemption.
+
+        The jobs share this process's resident memo store, released at
+        the end so a later run in the process replays from disk.
+        """
         pending = list(queue)
-        while pending:
-            spec, attempt = pending.pop(0)
-            self._note_attempt(spec, attempt)
-            try:
-                payload = self.worker(self._payload(spec))
-            except Exception as error:  # noqa: BLE001 - isolate job failures
-                self._note_failure(
-                    spec, attempt, JobFailure.from_exception(error),
-                    pending, results,
-                )
-                continue
-            self._note_success(spec, attempt, payload, results)
+        try:
+            while pending:
+                spec, attempt = pending.pop(0)
+                self._note_attempt(spec, attempt)
+                try:
+                    payload = self.worker(self._payload(spec))
+                except Exception as error:  # noqa: BLE001 - isolate failures
+                    self._note_failure(
+                        spec, attempt, JobFailure.from_exception(error),
+                        pending, results,
+                    )
+                    continue
+                self._note_success(spec, attempt, payload, results)
+        finally:
+            release_memo(self.memo_dir)
 
     # -- pool path ------------------------------------------------------------
 

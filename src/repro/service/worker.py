@@ -22,15 +22,21 @@ Robustness discipline inside the worker:
   chaos suite drives this exact code path.
 
 Estimates persist in the memo journal named by the runtime map's
-``memo_dir``: each job replays it on entry and flushes what it learned
-before returning, so estimates learned by one job are visible to jobs
-scheduled later.  The payload's ``cache_hits``/``cache_misses`` are the
-job's point-domain memo tallies.
+``memo_dir``, and each job flushes what it learned before returning, so
+estimates learned by one job are visible to jobs scheduled later.  The
+worker process keeps its memo store resident between jobs
+(:func:`repro.incremental.journal.resident_memo`): a job catches the
+store up on records appended since the previous job, and replays the
+whole journal only when the process has no store yet, the previous
+flush failed, or the journal's segment chain has changed since.  The
+payload's ``cache_hits``/``cache_misses`` are the job's point-domain
+memo tallies.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -80,6 +86,25 @@ def build_options(spec: JobSpec, kernel) -> Tuple[Any, Any]:
     return search, options
 
 
+def job_memo(runtime: Mapping[str, Any]):
+    """The context a job's memo store lives in: the process's resident
+    store for the runtime map's ``memo_dir`` (an ephemeral one without
+    it), or ``None`` when the map turns incremental evaluation off.
+
+    Incremental evaluation is an engine knob, not part of job identity:
+    memo hits are bit-identical to recomputation, so the flag rides the
+    runtime map (like fault_spec) and never perturbs job hashes.  A
+    shared memo_dir makes entries learned by one job visible to jobs
+    scheduled later — the journal is flock-guarded, so concurrent
+    workers flush safely.
+    """
+    if not runtime.get("incremental", True):
+        return nullcontext()
+    from repro.incremental.journal import resident_memo
+    memo_dir = runtime.get("memo_dir")
+    return resident_memo(Path(memo_dir) if memo_dir else None)
+
+
 def _guard_seed(spec: JobSpec) -> int:
     """A stable per-job seed for backoff jitter (reproducible runs)."""
     from repro.service.ledger import spec_hash
@@ -122,7 +147,8 @@ def execute_job(payload: Mapping[str, Any]) -> Dict[str, Any]:
     traced = runtime.get("trace", True)
     tracer = Tracer(base_attributes={"job": spec.id}) if traced else None
     registry = MetricsRegistry()
-    with use_tracer(tracer) if traced else _noop(), use_registry(registry):
+    with use_tracer(tracer) if traced else nullcontext(), \
+            use_registry(registry):
         result_dict = _execute(spec, runtime)
     if traced:
         result_dict["obs"] = {
@@ -134,11 +160,6 @@ def execute_job(payload: Mapping[str, Any]) -> Dict[str, Any]:
     return result_dict
 
 
-def _noop():
-    from contextlib import nullcontext
-    return nullcontext()
-
-
 def _execute(spec: JobSpec, runtime: Mapping[str, Any]) -> Dict[str, Any]:
     t_start = time.perf_counter()
     program, kernel = load_program(spec.program)
@@ -148,14 +169,6 @@ def _execute(spec: JobSpec, runtime: Mapping[str, Any]) -> Dict[str, Any]:
 
     guard = _make_guard(spec, runtime)
     from repro.dse import ExploreConfig, explore
-    # Incremental evaluation is an engine knob, not part of job identity:
-    # memo hits are bit-identical to recomputation, so the flag rides the
-    # runtime map (like fault_spec) and never perturbs job hashes.  A
-    # shared memo_dir makes entries learned by one job visible to jobs
-    # scheduled later — the journal is flock-guarded, so concurrent
-    # workers flush safely.
-    incremental = runtime.get("incremental", True)
-    memo_dir = runtime.get("memo_dir")
     # An auto-strategy job consults the coordinator's persisted win
     # rates (the server journals strategy_outcome events durably), so
     # selection keeps learning across server restarts.
@@ -164,16 +177,17 @@ def _execute(spec: JobSpec, runtime: Mapping[str, Any]) -> Dict[str, Any]:
     if isinstance(tallies, Mapping) and tallies:
         from repro.dse.selector import StrategyScoreboard
         scoreboard = StrategyScoreboard.from_dict(tallies)
-    result = explore(program, board, config=ExploreConfig(
-        search=search_options,
-        pipeline=pipeline_options,
-        guard=guard,
-        backend=spec.backend,
-        fidelity=spec.fidelity,
-        incremental=bool(incremental),
-        memo_dir=Path(memo_dir) if memo_dir else None,
-        scoreboard=scoreboard,
-    ))
+    with job_memo(runtime) as store:
+        result = explore(program, board, config=ExploreConfig(
+            search=search_options,
+            pipeline=pipeline_options,
+            guard=guard,
+            backend=spec.backend,
+            fidelity=spec.fidelity,
+            incremental=store is not None,
+            memo=store,
+            scoreboard=scoreboard,
+        ))
     t_explored = time.perf_counter()
     memo = result.memo_stats or {}
 

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from repro import faults
+from repro.incremental.journal import open_memo, release_memo
 from repro.obs import MetricsRegistry, use_registry
 from repro.server import ExplorationServer
 from repro.server.fleet import (
@@ -159,6 +161,27 @@ def make_coordinator(tmp_path, ttl=10.0, shard_points=8, name="state"):
         store, lease_ttl_s=ttl, shard_points=shard_points, clock=clock,
     )
     return store, coordinator, clock
+
+
+class TestShardMemo:
+    def test_failed_flush_reaches_the_shard_stats(self, tmp_path):
+        spec, plan = fir_plan()
+        fault_spec = tmp_path / "disk_full.json"
+        fault_spec.write_text(json.dumps({"faults": [{
+            "site": "disk_full", "mode": "io_error", "jobs": ["memo"],
+        }]}))
+        memo_dir = tmp_path / "memo"
+        payload = plan.shards[0].to_payload(spec)
+        payload["runtime"] = {"memo_dir": str(memo_dir),
+                              "fault_spec": str(fault_spec)}
+        try:
+            result = execute_shard(payload)
+        finally:
+            faults.deactivate()
+            release_memo(memo_dir)
+        assert result["points"]
+        assert open_memo(memo_dir).counts()["point"] == 0
+        assert result["memo"]["invalidations"] > 0
 
 
 def drain_worker(coordinator, worker_id):

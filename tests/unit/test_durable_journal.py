@@ -5,10 +5,12 @@ records are still plain JSON; legacy (unframed) records replay
 unchanged; damage on the final line of the final segment is a torn
 tail, damage anywhere else is corruption; rotation is size-driven;
 compaction is atomic and replays to the same state; the three journal
-fault sites do exactly what their names say.
+fault sites do exactly what their names say; a group commit leaves the
+bytes one-at-a-time appends would.
 """
 
 import json
+import os
 
 import pytest
 
@@ -273,3 +275,112 @@ class TestFaultSites:
         journal.append({"event": "a"})
         journal.close()
         assert drops == [1]
+
+
+class TestGroupCommit:
+    """``append_many`` against one-at-a-time ``append``: the same bytes
+    on disk and the same damage count, for one fsync per segment."""
+
+    RECORDS = [{"event": "e", "n": n, "pad": "x" * 40} for n in range(6)]
+
+    def _spec(self, path, rules):
+        path.write_text(json.dumps({"faults": rules}))
+        return str(path)
+
+    def _write(self, directory, batched, records, monkeypatch, **kwargs):
+        """Write ``records`` into a fresh journal; returns the journal,
+        the error that stopped the writes, and the fsync count."""
+        syncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: syncs.append(fd) or real_fsync(fd))
+        journal = DurableJournal(directory, "memo", clock=lambda: 0.0,
+                                 **kwargs)
+        journal.open()
+        error = None
+        try:
+            if batched:
+                journal.append_many(records)
+            else:
+                for record in records:
+                    journal.append(record)
+        except OSError as caught:
+            error = caught
+        journal.close()
+        monkeypatch.setattr(os, "fsync", real_fsync)
+        faults.deactivate()
+        return journal, error, len(syncs)
+
+    def _segments(self, directory):
+        return [(path.name, path.read_bytes())
+                for path in segment_paths(directory, "memo")]
+
+    def _both(self, tmp_path, monkeypatch, records=None, rules=None,
+              **kwargs):
+        """Write the records batched and one at a time; both must leave
+        the same bytes, damage count and landed count.  ``records``, when
+        given, builds each run's record stream from a scratch path."""
+        runs = {}
+        for mode in ("batched", "single"):
+            if rules:
+                faults.activate(self._spec(tmp_path / f"{mode}.json", rules))
+            written = (records(tmp_path / f"{mode}-late.json")
+                       if records is not None else self.RECORDS)
+            runs[mode] = self._write(tmp_path / mode, mode == "batched",
+                                     written, monkeypatch, **kwargs)
+        batched, single = runs["batched"], runs["single"]
+        assert self._segments(tmp_path / "batched") == \
+            self._segments(tmp_path / "single")
+        assert batched[0].damaged_writes == single[0].damaged_writes
+        assert batched[0].appended == single[0].appended
+        assert (batched[1] is None) == (single[1] is None)
+        return batched, single
+
+    def test_no_fault(self, tmp_path, monkeypatch):
+        batched, single = self._both(tmp_path, monkeypatch)
+        assert batched[0].appended == len(self.RECORDS)
+        assert batched[2] == 1
+        assert single[2] == len(self.RECORDS)
+
+    def test_bitflip_fires_per_record(self, tmp_path, monkeypatch):
+        batched, _ = self._both(tmp_path, monkeypatch, rules=[
+            {"site": "journal_bitflip", "mode": "bitflip", "max_hits": 2},
+        ])
+        assert batched[0].damaged_writes == 2
+        assert len(scan_journal(tmp_path / "batched", "memo").records) == 4
+
+    def test_torn_fires_per_record(self, tmp_path, monkeypatch):
+        batched, _ = self._both(tmp_path, monkeypatch, rules=[
+            {"site": "journal_torn", "mode": "corrupt", "max_hits": 1},
+        ])
+        assert batched[0].damaged_writes == 1
+        assert batched[2] == 1
+
+    def test_disk_full_mid_batch_keeps_earlier_records(self, tmp_path,
+                                                       monkeypatch):
+        spec_rules = [{"site": "disk_full", "mode": "io_error",
+                       "max_hits": 1}]
+
+        def disk_fills_at_fourth(spec_path):
+            spec = self._spec(spec_path, spec_rules)
+            for index, record in enumerate(self.RECORDS):
+                if index == 3:
+                    faults.activate(spec)
+                yield record
+
+        batched, single = self._both(tmp_path, monkeypatch,
+                                     records=disk_fills_at_fourth)
+        assert batched[1] is not None and single[1] is not None
+        assert batched[0].appended == 3
+        assert batched[2] == 1  # the three before the failure, synced once
+        scan = scan_journal(tmp_path / "batched", "memo")
+        assert [record["n"] for record in scan.records] == [0, 1, 2]
+
+    def test_batch_across_rotation_syncs_each_segment(self, tmp_path,
+                                                      monkeypatch):
+        batched, _ = self._both(tmp_path, monkeypatch,
+                                max_segment_bytes=200)
+        segments = self._segments(tmp_path / "batched")
+        assert len(segments) > 1
+        assert batched[2] == len(segments)
+        assert batched[0].rotations == len(segments) - 1

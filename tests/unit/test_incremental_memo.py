@@ -8,16 +8,28 @@ The memo layer's contracts, pinned one at a time:
 * the journal round-trips entries across processes (load = flush⁻¹),
   compacts into a snapshot segment, and degrades — never raises — on
   write failure, counting every loss as an invalidation;
+* a catch-up reads only complete lines appended since the last read,
+  and a changed segment chain forces a full replay;
+* a resident store survives between jobs only while its journal holds
+  everything it does;
 * the ``/metrics`` counters exist at zero from construction.
 """
 
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 
+from repro.durable import journal as durable_journal
+from repro.durable.fsck import repair_journal
+from repro.durable.journal import frame_record
 from repro.estimate import get_backend
 from repro.frontend import compile_source
-from repro.incremental.journal import MEMO_PREFIX, MemoJournal, open_memo
+from repro.incremental.journal import (
+    MEMO_EVENT, MEMO_PREFIX, MemoJournal, open_memo, release_memo,
+    resident_memo,
+)
 from repro.incremental.memo import (
     MemoStore, current_memo, decode_estimate, decode_schedule,
     encode_estimate, encode_schedule, use_memo,
@@ -180,6 +192,7 @@ class TestCounters:
             "incremental.memo.hits",
             "incremental.memo.misses",
             "incremental.memo.invalidations",
+            "incremental.memo.replays",
             "incremental.delta.reused_regions",
         ):
             assert counter in text or counter in names
@@ -293,3 +306,180 @@ class TestJournal:
         assert store._journal is None
         store.flush()  # no-op, must not raise
         store.close()
+
+
+def memo_line(key, cycles):
+    return frame_record({
+        "ts": 0.0, "schema_version": 1, "event": MEMO_EVENT,
+        "domain": "point", "key": key, "value": {"cycles": cycles},
+    })
+
+
+def write_entries(memo_dir, *keys, **journal_kwargs):
+    """A second writer: its own store, flushing ``keys`` as one batch."""
+    store = MemoStore()
+    store.attach_journal(MemoJournal(memo_dir, **journal_kwargs))
+    for key in keys:
+        store.point_put(key, {"cycles": len(key)})
+    store.flush()
+
+
+def replays(registry, mode):
+    return registry.counter_value("incremental.memo.replays", mode=mode)
+
+
+class TestCatchUp:
+    def test_adopts_a_second_writers_records_only(self, tmp_path,
+                                                  monkeypatch):
+        write_entries(tmp_path, "a", "bb")
+        reader = open_memo(tmp_path)
+        write_entries(tmp_path, "ccc")
+        verified = []
+        real_verify = durable_journal.verify_line
+        monkeypatch.setattr(durable_journal, "verify_line",
+                            lambda line: verified.append(line)
+                            or real_verify(line))
+        assert reader._journal.catch_up(reader)
+        assert reader.point_get("ccc") == {"cycles": 3}
+        assert len(verified) == 1 and '"ccc"' in verified[0]
+        assert reader.invalidations == 0
+
+    @pytest.mark.parametrize("change", ["rotation", "compaction", "repair"])
+    def test_changed_chain_forces_a_full_replay(self, tmp_path, change):
+        memo_dir = tmp_path / "memo"
+        write_entries(memo_dir, "a")
+        try:
+            with resident_memo(memo_dir) as store:
+                assert store.point_get("a") == {"cycles": 1}
+            if change == "rotation":
+                write_entries(memo_dir, "bb", max_segment_bytes=1)
+            elif change == "compaction":
+                other = open_memo(memo_dir)
+                other.point_put("bb", {"cycles": 2})
+                other.flush()
+                assert other._journal.compact()
+            else:
+                with open(memo_dir / f"{MEMO_PREFIX}.jsonl", "a") as stream:
+                    stream.write(memo_line("bb", 2) + "\n")
+                    stream.write("{damaged\n")
+                repair_journal(memo_dir, MEMO_PREFIX)
+            registry = MetricsRegistry()
+            with use_registry(registry), resident_memo(memo_dir) as store:
+                entries = dict(store._points)
+            assert (replays(registry, "full"),
+                    replays(registry, "catch_up")) == (1, 0)
+            assert entries == open_memo(memo_dir)._points
+            assert set(entries) == {"a", "bb"}
+        finally:
+            release_memo(memo_dir)
+
+    def test_half_written_line_waits_for_its_newline(self, tmp_path):
+        write_entries(tmp_path, "a")
+        store = open_memo(tmp_path)
+        line = memo_line("bb", 2)
+        segment = tmp_path / f"{MEMO_PREFIX}.jsonl"
+        with open(segment, "a") as stream:
+            stream.write(line[:25])
+        assert store._journal.catch_up(store)
+        assert store.invalidations == 0 and store.counts()["point"] == 1
+        with open(segment, "a") as stream:
+            stream.write(line[25:] + "\n")
+        assert store._journal.catch_up(store)
+        assert store.invalidations == 0
+        assert store.point_get("bb") == {"cycles": 2}
+
+    def test_bitflipped_line_counts_one_invalidation_once(self, tmp_path):
+        write_entries(tmp_path, "a")
+        store = open_memo(tmp_path)
+        flipped = memo_line("bb", 2).replace('"cycles":2', '"cycles":3')
+        with open(tmp_path / f"{MEMO_PREFIX}.jsonl", "a") as stream:
+            stream.write(flipped + "\n")
+        write_entries(tmp_path, "ccc")
+        assert store._journal.catch_up(store)
+        assert store.invalidations == 1
+        assert store._journal.catch_up(store)
+        assert store.invalidations == 1
+        assert store.point_get("ccc") == {"cycles": 3}
+        assert store.point_get("bb") is None
+
+
+class TestResidentMemo:
+    def test_keeps_the_store_and_starts_fresh_tallies(self, tmp_path):
+        memo_dir = tmp_path / "memo"
+        try:
+            with resident_memo(memo_dir) as first:
+                first.point_get("a")
+                first.point_put("a", {"cycles": 1})
+                first.flush()
+            registry = MetricsRegistry()
+            with use_registry(registry), resident_memo(memo_dir) as second:
+                assert second is first
+                assert (second.hits, second.misses, second.point_misses,
+                        second.invalidations) == (0, 0, 0, 0)
+                assert second.point_get("a") == {"cycles": 1}
+            assert (replays(registry, "full"),
+                    replays(registry, "catch_up")) == (0, 1)
+            assert "incremental.memo.hits" in registry.snapshot()["counters"]
+        finally:
+            release_memo(memo_dir)
+
+    def test_unflushed_or_failed_store_is_evicted(self, tmp_path):
+        memo_dir = tmp_path / "memo"
+        try:
+            with resident_memo(memo_dir) as store:
+                store.point_put("a", {"cycles": 1})  # never flushed
+            with resident_memo(memo_dir) as replayed:
+                assert replayed is not store
+                assert replayed.counts()["point"] == 0
+        finally:
+            release_memo(memo_dir)
+
+    def test_release_makes_the_next_job_replay(self, tmp_path):
+        memo_dir = tmp_path / "memo"
+        with resident_memo(memo_dir) as store:
+            pass
+        release_memo(memo_dir)
+        registry = MetricsRegistry()
+        with use_registry(registry), resident_memo(memo_dir) as replayed:
+            assert replayed is not store
+        assert replays(registry, "full") == 1
+        release_memo(memo_dir)
+
+    def test_concurrent_jobs_never_share_a_store(self, tmp_path):
+        memo_dir = tmp_path / "memo"
+        in_use, clashes = set(), []
+        guard = threading.Lock()
+
+        def job(index):
+            for round_ in range(5):
+                with resident_memo(memo_dir) as store:
+                    with guard:
+                        if id(store) in in_use:
+                            clashes.append(index)
+                        in_use.add(id(store))
+                    store.point_put(f"k{index}-{round_}", {"cycles": index})
+                    store.flush()
+                    with guard:
+                        in_use.discard(id(store))
+
+        threads = [threading.Thread(target=job, args=(index,))
+                   for index in range(8)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(previous)
+            release_memo(memo_dir)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not clashes
+        assert open_memo(memo_dir).counts()["point"] == 40
+
+    def test_without_directory_every_job_is_ephemeral(self):
+        with resident_memo(None) as first:
+            first.point_put("a", {"cycles": 1})
+        with resident_memo(None) as second:
+            assert second is not first and len(second) == 0
