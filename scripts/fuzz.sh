@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Differential-fuzz smoke: run the seeded fuzz battery (round trip,
-# verifier contract, interpreter-equivalence of unroll/peel/tiling) and
-# leave crash artifacts behind for upload when anything is found.
+# verifier contract, interpreter-equivalence of unroll/peel/tiling and
+# of the whole pipeline) and leave crash artifacts behind for upload
+# when anything is found.
 # Run from the repo root: bash scripts/fuzz.sh [iterations] [seed]
 set -euo pipefail
 

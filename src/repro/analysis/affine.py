@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError
-from repro.ir.expr import ArrayRef, BinOp, Call, Expr, IntLit, UnOp, VarRef
+from repro.ir.expr import (
+    ArrayRef, BinOp, Call, Expr, IntLit, UnOp, VarRef, array_refs,
+)
 from repro.ir.nest import LoopNest
 from repro.ir.stmt import Assign, For, If, RotateRegisters, Stmt
 
@@ -107,8 +109,24 @@ def linearize(expr: Expr, index_vars: Sequence[str]) -> AffineExpr:
     non-index scalars, intrinsic calls...).  Non-index scalar references
     are rejected because the paper requires constant strides and bounds;
     symbolic coefficients would defeat the dependence tests.
+
+    The affine form depends only on the (immutable) tree, so a success is
+    kept on the expression node: a later call whose index variables cover
+    the form's variables returns it without re-deriving.  Forms in which
+    a variable cancels out (``i - i``) are not kept, since the check
+    would miss that variable.  Failures are never kept, so a non-affine
+    subscript raises on every call, and the form lives and dies with its
+    node.
     """
     index_set = frozenset(index_vars)
+    cached = getattr(expr, _AFFINE_FORM, None)
+    if cached is not None:
+        for var, _ in cached.terms:
+            if var not in index_set:
+                break
+        else:
+            return cached
+    names = set()
 
     def recurse(node: Expr) -> Tuple[Dict[str, int], int]:
         if isinstance(node, IntLit):
@@ -119,6 +137,7 @@ def linearize(expr: Expr, index_vars: Sequence[str]) -> AffineExpr:
                     f"subscript uses non-index variable {node.name!r}; "
                     "subscripts must be affine in the loop indices"
                 )
+            names.add(node.name)
             return {node.name: 1}, 0
         if isinstance(node, UnOp) and node.op == "-":
             coeffs, const = recurse(node.operand)
@@ -150,7 +169,16 @@ def linearize(expr: Expr, index_vars: Sequence[str]) -> AffineExpr:
         raise AnalysisError(f"non-affine subscript expression: {node}")
 
     coefficients, constant = recurse(expr)
-    return AffineExpr.from_parts(coefficients, constant)
+    form = AffineExpr.from_parts(coefficients, constant)
+    if isinstance(expr, Expr) and len(form.terms) == len(names):
+        # Outside the dataclass fields: equality, hashing and printing
+        # never see it.
+        object.__setattr__(expr, _AFFINE_FORM, form)
+    return form
+
+
+#: The attribute under which :func:`linearize` keeps a node's form.
+_AFFINE_FORM = "_affine_form"
 
 
 @dataclass(frozen=True)
@@ -177,6 +205,11 @@ class AffineAccess:
     depth: int = field(compare=False, default=0)
     guarded: bool = field(compare=False, default=False)
 
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_offset", tuple(sub.constant for sub in self.subscripts)
+        )
+
     @property
     def is_read(self) -> bool:
         return not self.is_write
@@ -187,7 +220,7 @@ class AffineAccess:
         return tuple(sub.terms for sub in self.subscripts)
 
     def constant_vector(self) -> Tuple[int, ...]:
-        return tuple(sub.constant for sub in self.subscripts)
+        return self._offset
 
     def variables(self) -> frozenset:
         names = set()
@@ -216,11 +249,10 @@ def collect_accesses(nest: LoopNest) -> List[AffineAccess]:
     index_vars = nest.index_vars
 
     def visit_expr(expr: Expr, depth: int, guarded: bool) -> None:
-        for node in expr.walk():
-            if isinstance(node, ArrayRef):
-                accesses.append(_make_access(
-                    node, index_vars, is_write=False, depth=depth, guarded=guarded,
-                ))
+        for node in array_refs(expr):
+            accesses.append(_make_access(
+                node, index_vars, is_write=False, depth=depth, guarded=guarded,
+            ))
 
     def visit_stmt(stmt: Stmt, depth: int, guarded: bool) -> None:
         if isinstance(stmt, Assign):
@@ -272,6 +304,18 @@ def group_uniformly_generated(
         key = (access.array, access.linear_signature())
         groups.setdefault(key, []).append(access)
     return groups
+
+
+def bucket_by_offset(
+    accesses: Sequence[AffineAccess],
+) -> Dict[Tuple[int, ...], List[AffineAccess]]:
+    """Accesses keyed by constant vector, each bucket in program order
+    (so ``min`` over a bucket breaks ties the way a scan of the whole
+    set would)."""
+    buckets: Dict[Tuple[int, ...], List[AffineAccess]] = {}
+    for access in accesses:
+        buckets.setdefault(access.constant_vector(), []).append(access)
+    return buckets
 
 
 def all_uniformly_generated(accesses: Sequence[AffineAccess], array: str) -> bool:

@@ -9,7 +9,7 @@ analysis refines it for uniformly generated sets).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Set, Tuple
+from typing import AbstractSet, FrozenSet, Iterable, Set, Tuple
 
 from repro.ir.expr import ArrayRef, Expr, VarRef
 from repro.ir.stmt import Assign, For, RotateRegisters, Stmt, walk_all
@@ -41,8 +41,17 @@ def written_arrays(body: Iterable[Stmt]) -> FrozenSet[str]:
 def expr_is_invariant(expr: Expr, loop: For) -> bool:
     """True if ``expr`` evaluates to the same value on every iteration of
     ``loop`` (assuming it is evaluated at the top of the body)."""
-    mutated = assigned_scalars(loop.body) | {loop.var}
-    dirty_arrays = written_arrays(loop.body)
+    return reads_none_of(
+        expr, assigned_scalars(loop.body) | {loop.var}, written_arrays(loop.body)
+    )
+
+
+def reads_none_of(
+    expr: Expr, mutated: AbstractSet[str], dirty_arrays: AbstractSet[str]
+) -> bool:
+    """True if ``expr`` reads no scalar in ``mutated`` and no array in
+    ``dirty_arrays`` — the invariance test once a loop's effects are
+    known (callers testing many expressions compute those once)."""
     for node in expr.walk():
         if isinstance(node, VarRef) and node.name in mutated:
             return False

@@ -36,10 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.affine import (
-    AffineAccess, collect_accesses, group_uniformly_generated,
+    AffineAccess, bucket_by_offset, collect_accesses,
+    group_uniformly_generated,
 )
 from repro.analysis.dependence import DependenceGraph
 from repro.ir.nest import LoopNest
@@ -122,6 +124,11 @@ class ReuseGroup:
     #: any chain stay as plain memory loads).
     chains: List[PipelineChain] = field(default_factory=list)
 
+    @cached_property
+    def by_offset(self) -> Dict[Tuple[int, ...], List[AffineAccess]]:
+        """Members keyed by constant vector, each bucket in program order."""
+        return bucket_by_offset(self.accesses)
+
     @property
     def has_write(self) -> bool:
         return any(access.is_write for access in self.accesses)
@@ -177,6 +184,8 @@ def _classify(
     steps: Dict[str, int],
 ) -> ReuseGroup:
     """Pick the replacement strategy for one uniformly generated set."""
+    buckets = bucket_by_offset(members)
+    offsets = sorted(buckets)
     # Guarded accesses may not execute: hoisting them into unconditional
     # register loads/stores would change both traffic and (for guards
     # protecting bounds) semantics.  Leave the whole set in memory.
@@ -185,12 +194,11 @@ def _classify(
             array=array,
             accesses=members,
             kind=ReuseKind.NONE,
-            distinct_offsets=sorted({m.constant_vector() for m in members}),
+            distinct_offsets=offsets,
         )
     mentioned = set()
     for access in members:
         mentioned.update(access.variables())
-    offsets = sorted({access.constant_vector() for access in members})
     deepest = max(
         (index_vars.index(var) for var in mentioned), default=-1
     )
@@ -227,7 +235,7 @@ def _classify(
 
     # Consistent innermost-carried reuse (the Carr–Kennedy case): shift
     # register chains along one dimension.
-    pipeline = _pipeline_candidate(members, index_vars, steps, offsets)
+    pipeline = _pipeline_candidate(members, index_vars, steps, buckets)
     if pipeline is not None:
         return pipeline
 
@@ -239,8 +247,7 @@ def _classify(
     # between two reads of the same offset would invalidate the register.
     has_write = any(access.is_write for access in members)
     duplicated = [] if has_write else [
-        offset for offset in offsets
-        if sum(1 for m in members if m.constant_vector() == offset and m.is_read) > 1
+        offset for offset in offsets if _duplicate_reads(buckets[offset])
     ]
     kind = ReuseKind.BODY_ONLY if duplicated else ReuseKind.NONE
     return ReuseGroup(
@@ -252,11 +259,16 @@ def _classify(
     )
 
 
+def _duplicate_reads(bucket: List[AffineAccess]) -> bool:
+    """True if more than one member of an offset bucket is a read."""
+    return sum(1 for m in bucket if m.is_read) > 1
+
+
 def _pipeline_candidate(
     members: List[AffineAccess],
     index_vars: Sequence[str],
     steps: Dict[str, int],
-    offsets: List[Tuple[int, ...]],
+    buckets: Dict[Tuple[int, ...], List[AffineAccess]],
 ) -> Optional[ReuseGroup]:
     """PIPELINE applies to read-only sets whose offsets differ along one
     dimension that mentions only the innermost loop (with positive
@@ -289,20 +301,19 @@ def _pipeline_candidate(
     coeff = representative.subscripts[dim].coefficient(inner_var)
     advance = coeff * steps[inner_var]
 
-    buckets: Dict[Tuple, List[Tuple[int, ...]]] = {}
+    offsets = sorted(buckets)
+    lanes: Dict[Tuple, List[Tuple[int, ...]]] = {}
     for offset in offsets:
         key = tuple(offset[d] for d in range(rank) if d != dim) + (
             offset[dim] % advance,
         )
-        buckets.setdefault(key, []).append(offset)
+        lanes.setdefault(key, []).append(offset)
 
     chains: List[PipelineChain] = []
-    for key, bucket in sorted(buckets.items()):
+    for key, bucket in sorted(lanes.items()):
         values = sorted(o[dim] for o in bucket)
         duplicate_reads = any(
-            sum(1 for m in members
-                if m.constant_vector() == offset and m.is_read) > 1
-            for offset in bucket
+            _duplicate_reads(buckets[offset]) for offset in bucket
         )
         if len(values) < 2 and not duplicate_reads:
             continue  # no reuse along this chain: raw loads stay

@@ -39,6 +39,7 @@ from repro.durable.journal import (
     DamagedRecord,
     JournalScan,
     quarantine_records,
+    read_record_lines,
     scan_journal,
     segment_paths,
 )
@@ -207,11 +208,11 @@ def inspect_journal(directory: Path, prefix: str) -> JournalReport:
     for path in scan.segments:
         segment = per_segment[path.name]
         try:
-            text = path.read_text(errors="replace")
+            lines = read_record_lines(path)
         except OSError:
             continue
         from repro.durable.journal import FRAME_FIELD, verify_line
-        for line in text.splitlines():
+        for line in lines:
             stripped = line.strip()
             if not stripped:
                 continue
@@ -248,9 +249,8 @@ def _rewrite_segment(path: Path, drop: Set[int]) -> None:
     Surviving lines are preserved byte-for-byte — repair removes damage,
     it never re-serializes healthy records.
     """
-    text = path.read_text(errors="replace")
     kept = [
-        line for lineno, line in enumerate(text.splitlines(), start=1)
+        line for lineno, line in enumerate(read_record_lines(path), start=1)
         if lineno not in drop and line.strip()
     ]
     temp = path.with_suffix(path.suffix + ".tmp")

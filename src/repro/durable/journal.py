@@ -232,6 +232,25 @@ class JournalScan:
         return len(self.records)
 
 
+def record_lines(data: bytes) -> List[str]:
+    """A journal's lines, split at ``\n`` only.
+
+    ``str.splitlines`` (and text-mode reads, which translate ``\r``)
+    also break at ``\r``, ``\x0b``, ``\x0c``, ``\x1c``-``\x1e`` and
+    ``\x85``: one corrupted byte inside a record would read as two
+    damaged records and shift every later line number.
+    """
+    lines = data.decode("utf-8", "replace").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def read_record_lines(path: Path) -> List[str]:
+    """:func:`record_lines` of a whole file."""
+    return record_lines(path.read_bytes())
+
+
 def _read_segment(path: Path, start: int = 0) -> Tuple[int, bytes]:
     """``(inode, bytes from start to end)`` of one segment."""
     with open(path, "rb") as stream:
@@ -290,7 +309,7 @@ def scan_journal(directory: Path, prefix: str) -> JournalScan:
             continue
         if chain is not None:
             chain.append((segment.name, inode))
-        lines = data.decode("utf-8", "replace").splitlines()
+        lines = record_lines(data)
         last_entry = _scan_lines(
             scan, segment.name, lines, damaged
         ) or last_entry
@@ -304,7 +323,7 @@ def scan_journal(directory: Path, prefix: str) -> JournalScan:
         offset = data.rfind(b"\n") + 1
         if offset < len(data):
             # The final line has no newline yet: leave it unconsumed.
-            lines = data[:offset].decode("utf-8", "replace").splitlines()
+            lines = record_lines(data[:offset])
         scan.position = JournalPosition(
             chain=tuple(chain), offset=offset, lines=len(lines),
             tail=data[max(0, offset - _TAIL_BYTES):offset],
@@ -349,7 +368,7 @@ def scan_journal_since(directory: Path, prefix: str,
         return None
     data = data[len(position.tail):]
     consumed = data.rfind(b"\n") + 1
-    lines = data[:consumed].decode("utf-8", "replace").splitlines()
+    lines = record_lines(data[:consumed])
     damaged: List[DamagedRecord] = []
     _scan_lines(scan, paths[-1].name, lines, damaged, position.lines + 1)
     scan.corrupt = damaged
@@ -380,7 +399,7 @@ def quarantine_records(directory: Path, prefix: str,
     path = quarantine_path(directory, prefix)
     seen = set()
     try:
-        for line in path.read_text().splitlines():
+        for line in read_record_lines(path):
             try:
                 entry = json.loads(line)
             except json.JSONDecodeError:
@@ -611,8 +630,7 @@ class DurableJournal:
         for segment in retired:
             try:
                 folded_records += sum(
-                    1 for line in segment.read_text(errors="replace")
-                    .splitlines() if line.strip()
+                    1 for line in read_record_lines(segment) if line.strip()
                 )
             except OSError:
                 continue

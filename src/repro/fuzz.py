@@ -12,9 +12,13 @@ The pipeline's correctness story leans on two oracles:
 ``run_fuzz`` draws seeded random near-perfect affine loop nests, checks
 both oracles, and differentially tests unroll-and-jam (divisor vectors
 gated by :func:`check_unroll_legality`, plus always-legal innermost
-epilogue unrolling), loop peeling, and tiling.  Every transformed
-program additionally passes the IR verifier with the affine contract
-(:func:`repro.ir.verify.check_ir`).
+epilogue unrolling), loop peeling, tiling, and the whole Figure-3
+pipeline (:func:`repro.transform.compile_design`: scalar replacement,
+LICM, normalization and data layout included, its output run on the
+layout plan's distributed inputs and gathered back per original array).
+Every transformed program additionally passes the IR verifier with the
+affine contract (:func:`repro.ir.verify.check_ir`); the pipeline checks
+each stage's output itself.
 
 Determinism: iteration ``k`` of ``run_fuzz(seed=s)`` derives its RNG
 from the string ``"{s}:{k}"``, so any failure reproduces from
@@ -47,13 +51,16 @@ from repro.ir.stmt import Assign, For, If, Stmt
 from repro.ir.symbols import Program, VarDecl
 from repro.ir.verify import check_ir
 from repro.transform.peel import peel_loop
-from repro.transform.pipeline import check_unroll_legality
+from repro.transform.pipeline import check_unroll_legality, compile_design
 from repro.transform.tiling import tile_loop
 from repro.transform.unroll import UnrollVector, unroll_and_jam
 
 #: Generated nests execute at most a few hundred statements; anything
 #: past this budget is a runaway and is counted as a skip.
 DEFAULT_MAX_STEPS = 200_000
+
+#: Physical memories the pipeline check lays arrays out across.
+PIPELINE_MEMORIES = 4
 
 
 # -- the generator -----------------------------------------------------------
@@ -328,7 +335,8 @@ class _Iteration:
             if not self._guarded(check.__name__, check):
                 return
         for check in (self._check_unroll_divisor, self._check_unroll_epilogue,
-                      self._check_peel, self._check_tiling):
+                      self._check_peel, self._check_tiling,
+                      self._check_pipeline):
             self._guarded(check.__name__, check)
 
     def _guarded(self, label: str, check) -> bool:
@@ -392,8 +400,11 @@ class _Iteration:
                 return
         self.report.checked += 1
 
-    def _check_unroll_divisor(self) -> None:
-        """Unroll-and-jam with a legality-checked divisor vector."""
+    def _legal_divisor_vector(self) -> Optional[UnrollVector]:
+        """A random divisor vector (not all ones when some loop can
+        unroll), or ``None`` — counted as a skip — when unroll-and-jam by
+        it is illegal: that is the legality check doing its job, not a
+        finding."""
         specs = self._loop_specs()
         factors = tuple(
             self.rng.choice(_divisors(spec.trip)) for spec in specs
@@ -408,12 +419,19 @@ class _Iteration:
         try:
             check_unroll_legality(self.program, vector)
         except (TransformError, AnalysisError):
-            # An illegal jam is the legality check doing its job, not a
-            # finding; the epilogue check still exercises unrolling.
             self.report.skipped += 1
+            return None
+        return vector
+
+    def _check_unroll_divisor(self) -> None:
+        """Unroll-and-jam with a legality-checked divisor vector (the
+        epilogue check still exercises unrolling when it is illegal)."""
+        vector = self._legal_divisor_vector()
+        if vector is None:
             return
         self._differential(
-            "unroll", unroll_and_jam(self.program, vector), unroll=factors
+            "unroll", unroll_and_jam(self.program, vector),
+            unroll=vector.factors,
         )
 
     def _check_unroll_epilogue(self) -> None:
@@ -453,6 +471,31 @@ class _Iteration:
         self._differential(
             "tiling", tile_loop(self.program, spec.var, tile)
         )
+
+    def _check_pipeline(self) -> None:
+        """The whole Figure-3 pipeline at a legality-checked divisor
+        vector: every original array, gathered back from the layout's
+        banks, must match the reference interpretation."""
+        vector = self._legal_divisor_vector()
+        if vector is None:
+            return
+        design = compile_design(self.program, vector, PIPELINE_MEMORIES)
+        plan = design.plan
+        state = Interpreter(design.program, max_steps=self.max_steps).run(
+            plan.distribute_inputs(self.inputs)
+        )
+        after = state.snapshot_arrays()
+        for name, cells in self.baseline.items():
+            gathered = tuple(plan.gather_array(after, name))
+            if gathered != cells:
+                self.fail(
+                    "pipeline",
+                    f"array {name!r} diverged from the reference "
+                    f"interpretation (expected {cells}, got {gathered})",
+                    unroll=vector.factors,
+                )
+                return
+        self.report.checked += 1
 
     def _loop_specs(self) -> List[_LoopSpec]:
         specs = []

@@ -7,9 +7,11 @@ reuses:
 * **Programs** (:func:`program_hash`) — the printed IR.  Printing is
   ~5x cheaper than verifying and ~50x cheaper than scheduling, so a
   hash-then-lookup always costs less than the computation it may skip.
-  Hashes are cached per IR object identity: the codebase treats IR
-  trees as immutable (every transform rebuilds), so an object's printed
-  form — and hence its hash — cannot change behind the cache.
+  The digest is kept on the :class:`~repro.ir.symbols.Program` itself
+  (:attr:`~repro.ir.symbols.Program.digest`): IR trees are immutable,
+  so a program's printed form — and hence its hash — cannot change, and
+  the digest is freed with the program instead of pinning it in a
+  process-wide cache.
 * **Evaluation contexts** (:func:`context_fingerprint`) — board,
   operator library, pipeline options, and estimation backend: the
   ambient facts a design point's estimate depends on beyond its IR.
@@ -46,30 +48,15 @@ from repro.ir.symbols import Program
 #: Field separator for fingerprint parts (never appears in printed IR).
 _SEP = "\x1e"
 
-#: ``id() -> (object, hash)`` cache; holding the object keeps the id
-#: from being recycled by a different program while the entry lives.
-_PROGRAM_HASHES: Dict[int, Tuple[Program, str]] = {}
-
-#: Bound on the identity cache — a long campaign compiles thousands of
-#: transient programs; past the bound the cache simply resets (hashes
-#: are recomputed, never wrong).
-_PROGRAM_HASH_LIMIT = 4096
-
 
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def program_hash(program: Program) -> str:
-    """The content hash of one program's printed IR (identity-cached)."""
-    cached = _PROGRAM_HASHES.get(id(program))
-    if cached is not None and cached[0] is program:
-        return cached[1]
-    if len(_PROGRAM_HASHES) >= _PROGRAM_HASH_LIMIT:
-        _PROGRAM_HASHES.clear()
-    digest = sha(print_program(program))
-    _PROGRAM_HASHES[id(program)] = (program, digest)
-    return digest
+    """The content hash of one program's printed IR, computed once per
+    program object."""
+    return program.digest
 
 
 def library_fingerprint(library) -> str:

@@ -106,11 +106,13 @@ class MemoJournal:
         self,
         directory: Path,
         lock_timeout_s: Optional[float] = 30.0,
-        clock: Callable[[], float] = time.time,
+        clock: Optional[Callable[[], float]] = None,
         max_segment_bytes: int = _SEGMENT_BYTES,
     ):
         self.directory = Path(directory)
-        self._clock = clock
+        # Resolved now, not when the class was defined, so a clock pinned
+        # by a caller that cannot reach this constructor still applies.
+        self._clock = clock if clock is not None else time.time
         self._max_segment_bytes = max_segment_bytes
         self._lock = FileLock(
             self.directory / f"{MEMO_PREFIX}.lock", timeout_s=lock_timeout_s

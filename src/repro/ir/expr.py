@@ -38,10 +38,14 @@ class Expr:
         return ()
 
     def walk(self) -> Iterator["Expr"]:
-        """Pre-order traversal of this expression tree."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Pre-order traversal of this expression tree (left to right)."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            children = node.children()
+            if children:
+                stack.extend(reversed(children))
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,20 @@ def referenced_arrays(expr: Expr) -> frozenset:
 
 def array_refs(expr: Expr) -> Tuple[ArrayRef, ...]:
     """All array references in ``expr``, in pre-order (duplicates kept)."""
-    return tuple(node for node in expr.walk() if isinstance(node, ArrayRef))
+    found = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BinOp):
+            stack.append(node.right)
+            stack.append(node.left)
+            continue
+        if isinstance(node, ArrayRef):
+            found.append(node)
+        children = node.children()
+        if children:
+            stack.extend(reversed(children))
+    return tuple(found)
 
 
 def fold_constants(expr: Expr) -> Expr:
@@ -203,23 +220,60 @@ def fold_constants(expr: Expr) -> Expr:
     folding them keeps generated code readable and lets uniformly generated
     set detection compare normalized subscripts.  Only exact integer
     arithmetic is folded — division by zero and friends are left in place
-    for the interpreter to report at run time.
+    for the interpreter to report at run time.  A subtree with nothing to
+    fold comes back as the same object.
     """
-    if isinstance(expr, (IntLit, VarRef)):
+    return _fold(expr, None)
+
+
+def substitute_folded(expr: Expr, bindings: Mapping[str, Expr]) -> Expr:
+    """``fold_constants(substitute(expr, bindings))`` in one pass.
+
+    Like :func:`substitute`, every :class:`ArrayRef` in the result is a
+    new node, so two substituted copies of one body never share a
+    reference (scalar replacement keys its rewrites on reference
+    identity).
+    """
+    return _fold(expr, bindings)
+
+
+def _fold(expr: Expr, bindings: Optional[Mapping[str, Expr]]) -> Expr:
+    """Fold ``expr`` bottom-up after replacing the variables in
+    ``bindings``; ``None`` means plain folding, which keeps every
+    unchanged node."""
+    if isinstance(expr, VarRef):
+        if bindings:
+            value = bindings.get(expr.name)
+            if value is not None:
+                return _fold(value, None)
         return expr
+    if isinstance(expr, IntLit):
+        return expr
+    if isinstance(expr, BinOp):
+        left = _fold(expr.left, bindings)
+        right = _fold(expr.right, bindings)
+        folded = _fold_binop(expr.op, left, right)
+        if folded is not None:
+            return folded
+        if left is expr.left and right is expr.right:
+            return expr
+        return BinOp(expr.op, left, right)
     if isinstance(expr, ArrayRef):
-        return ArrayRef(expr.array, tuple(fold_constants(e) for e in expr.indices))
+        indices = tuple(_fold(e, bindings) for e in expr.indices)
+        if bindings is None and same_nodes(indices, expr.indices):
+            return expr
+        return ArrayRef(expr.array, indices)
     if isinstance(expr, UnOp):
-        operand = fold_constants(expr.operand)
+        operand = _fold(expr.operand, bindings)
         if isinstance(operand, IntLit) and expr.op == "-":
             return IntLit(-operand.value, operand.type)
         if isinstance(operand, IntLit) and expr.op == "!":
             return IntLit(0 if operand.value else 1, BOOL)
         if isinstance(operand, IntLit) and expr.op == "~":
             return IntLit(~operand.value, operand.type)
-        return UnOp(expr.op, operand)
+        return expr if operand is expr.operand else UnOp(expr.op, operand)
     if isinstance(expr, Call):
-        args = tuple(fold_constants(a) for a in expr.args)
+        args = tuple(_fold(a, bindings) for a in expr.args)
         if all(isinstance(a, IntLit) for a in args):
             values = [a.value for a in args]
             if expr.name == "abs":
@@ -228,13 +282,14 @@ def fold_constants(expr: Expr) -> Expr:
                 return IntLit(min(values), args[0].type)
             if expr.name == "max":
                 return IntLit(max(values), args[0].type)
-        return Call(expr.name, args)
-    if isinstance(expr, BinOp):
-        left = fold_constants(expr.left)
-        right = fold_constants(expr.right)
-        folded = _fold_binop(expr.op, left, right)
-        return folded if folded is not None else BinOp(expr.op, left, right)
+        return expr if same_nodes(args, expr.args) else Call(expr.name, args)
     raise TypeError(f"unknown expression node: {type(expr).__name__}")
+
+
+def same_nodes(new: Tuple[Expr, ...], old: Tuple[Expr, ...]) -> bool:
+    """True if a rebuilt child tuple holds exactly the old children (the
+    test rewriters use to hand back an unchanged node itself)."""
+    return all(a is b for a, b in zip(new, old))
 
 
 def _fold_binop(op: str, left: Expr, right: Expr) -> Optional[Expr]:

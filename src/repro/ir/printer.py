@@ -30,12 +30,20 @@ _UNARY_PRECEDENCE = 11
 
 def print_expr(expr: Expr, parent_precedence: int = 0) -> str:
     """Render an expression with only the parentheses C requires."""
-    if isinstance(expr, IntLit):
-        return str(expr.value)
     if isinstance(expr, VarRef):
         return expr.name
+    if isinstance(expr, BinOp):
+        precedence = _PRECEDENCE[expr.op]
+        left = print_expr(expr.left, precedence)
+        # Right child of a same-precedence non-commutative op needs parens
+        # (a - (b - c) must keep them), so bump the requirement by one.
+        right = print_expr(expr.right, precedence + 1)
+        text = f"{left} {expr.op} {right}"
+        return f"({text})" if parent_precedence > precedence else text
+    if isinstance(expr, IntLit):
+        return str(expr.value)
     if isinstance(expr, ArrayRef):
-        subs = "".join(f"[{print_expr(index)}]" for index in expr.indices)
+        subs = "".join([f"[{print_expr(index)}]" for index in expr.indices])
         return f"{expr.array}{subs}"
     if isinstance(expr, Call):
         args = ", ".join(print_expr(a) for a in expr.args)
@@ -48,14 +56,6 @@ def print_expr(expr: Expr, parent_precedence: int = 0) -> str:
             inner = f"({inner})"
         text = f"{expr.op}{inner}"
         return f"({text})" if parent_precedence > _UNARY_PRECEDENCE else text
-    if isinstance(expr, BinOp):
-        precedence = _PRECEDENCE[expr.op]
-        left = print_expr(expr.left, precedence)
-        # Right child of a same-precedence non-commutative op needs parens
-        # (a - (b - c) must keep them), so bump the requirement by one.
-        right = print_expr(expr.right, precedence + 1)
-        text = f"{left} {expr.op} {right}"
-        return f"({text})" if parent_precedence > precedence else text
     raise TypeError(f"unknown expression node: {type(expr).__name__}")
 
 
@@ -63,7 +63,7 @@ def print_stmt(stmt: Stmt, depth: int = 0) -> List[str]:
     """Render one statement as a list of indented source lines."""
     pad = _INDENT * depth
     if isinstance(stmt, Assign):
-        return [f"{pad}{print_expr(stmt.target)} = {print_expr(stmt.value)};"]
+        return [pad + _assignment_text(stmt)]
     if isinstance(stmt, RotateRegisters):
         return [f"{pad}rotate_registers({', '.join(stmt.registers)});"]
     if isinstance(stmt, If):
@@ -85,6 +85,25 @@ def print_stmt(stmt: Stmt, depth: int = 0) -> List[str]:
         lines.append(f"{pad}}}")
         return lines
     raise TypeError(f"unknown statement node: {type(stmt).__name__}")
+
+
+def _assignment_text(stmt: Assign) -> str:
+    """An assignment's line without indentation.
+
+    Transforms pass untouched statements through to their output, so one
+    assignment is printed for several stage outputs; its text depends
+    only on the (immutable) node and is kept on it, outside the
+    dataclass fields.
+    """
+    text = getattr(stmt, _TEXT, None)
+    if text is None:
+        text = f"{print_expr(stmt.target)} = {print_expr(stmt.value)};"
+        object.__setattr__(stmt, _TEXT, text)
+    return text
+
+
+#: The attribute under which :func:`_assignment_text` keeps a line.
+_TEXT = "_printed"
 
 
 def print_program(program: Program) -> str:

@@ -30,7 +30,11 @@ class Stmt:
 
     def walk(self) -> Iterator["Stmt"]:
         """Pre-order traversal of this statement subtree."""
-        yield self
+        return walk_all((self,))
+
+    def children(self) -> Tuple["Stmt", ...]:
+        """Immediately nested statements, in program order."""
+        return ()
 
     def expressions(self) -> Tuple[Expr, ...]:
         """Expressions evaluated directly by this statement (not nested stmts)."""
@@ -68,10 +72,8 @@ class If(Stmt):
     then_body: Tuple[Stmt, ...]
     else_body: Tuple[Stmt, ...] = ()
 
-    def walk(self) -> Iterator[Stmt]:
-        yield self
-        for stmt in self.then_body + self.else_body:
-            yield from stmt.walk()
+    def children(self) -> Tuple[Stmt, ...]:
+        return self.then_body + self.else_body
 
     def expressions(self) -> Tuple[Expr, ...]:
         return (self.cond,)
@@ -125,10 +127,8 @@ class For(Stmt):
         """The values the index variable takes, as a range object."""
         return range(self.lower, self.upper, self.step)
 
-    def walk(self) -> Iterator[Stmt]:
-        yield self
-        for stmt in self.body:
-            yield from stmt.walk()
+    def children(self) -> Tuple[Stmt, ...]:
+        return self.body
 
     def __str__(self) -> str:
         incr = f"{self.var}++" if self.step == 1 else f"{self.var} += {self.step}"
@@ -157,8 +157,14 @@ class RotateRegisters(Stmt):
 
 def walk_all(body: Tuple[Stmt, ...]) -> Iterator[Stmt]:
     """Pre-order traversal over a statement sequence."""
-    for stmt in body:
-        yield from stmt.walk()
+    stack = list(body)
+    stack.reverse()
+    while stack:
+        stmt = stack.pop()
+        yield stmt
+        children = stmt.children()
+        if children:
+            stack.extend(reversed(children))
 
 
 def count_statements(body: Tuple[Stmt, ...]) -> int:

@@ -8,7 +8,9 @@ time to hardware).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import SemanticError
@@ -82,6 +84,16 @@ class Program:
     @property
     def symbol_table(self) -> Dict[str, VarDecl]:
         return {decl.name: decl for decl in self.decls}
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the printed program (the memo's content hash).
+
+        Computed on first use and kept on this object: a program never
+        changes, and the digest goes when the program does.
+        """
+        from repro.ir.printer import print_program
+        return hashlib.sha256(print_program(self).encode("utf-8")).hexdigest()
 
     def decl(self, name: str) -> VarDecl:
         """Look up a declaration, raising :class:`SemanticError` if missing."""

@@ -30,7 +30,7 @@ which the fail-soft DSE records as an infeasible point diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import AnalysisError, VerificationError
 from repro.ir.expr import ArrayRef, BinOp, Call, Expr, IntLit, UnOp, VarRef
@@ -56,10 +56,14 @@ class _Verifier:
     """Single pass over a program, collecting every violation."""
 
     def __init__(self, program: Program, require_affine: bool):
+        from repro.analysis.affine import linearize
         self.program = program
         self.symbols = program.symbol_table
         self.require_affine = require_affine
         self.violations: List[Violation] = []
+        self._linearize = linearize
+        #: loop-index scope -> its set, built once per scope.
+        self._index_sets: Dict[Tuple[str, ...], FrozenSet[str]] = {}
 
     def run(self) -> List[Violation]:
         for stmt in self.program.body:
@@ -138,7 +142,7 @@ class _Verifier:
                         loop_vars,
                     )
         elif isinstance(target, ArrayRef):
-            self._array_ref(target, loop_vars)
+            self._expr(target, loop_vars)
         else:
             self._flag(
                 "unknown-lvalue",
@@ -165,21 +169,36 @@ class _Verifier:
     # -- expressions ---------------------------------------------------------
 
     def _expr(self, expr: Expr, loop_vars: Tuple[str, ...]) -> None:
-        for node in expr.walk():
+        """Check ``expr`` and its sub-expressions in pre-order."""
+        symbols = self.symbols
+        stack = [expr]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node = pop()
             if isinstance(node, VarRef):
-                self._var_ref(node, loop_vars)
-            elif isinstance(node, ArrayRef):
-                self._array_ref(node, loop_vars, recurse=False)
-            elif not isinstance(node, (IntLit, BinOp, UnOp, Call)):
+                if node.name not in loop_vars:
+                    decl = symbols.get(node.name)
+                    if decl is None or decl.dims:
+                        self._var_ref(node, loop_vars)
+                continue
+            if isinstance(node, BinOp):
+                push(node.right)
+                push(node.left)
+                continue
+            if isinstance(node, ArrayRef):
+                self._array_ref(node, loop_vars)
+            elif not isinstance(node, (IntLit, UnOp, Call)):
                 self._flag(
                     "unknown-expr",
                     f"unknown expression node {type(node).__name__}",
                     loop_vars,
                 )
+            children = node.children()
+            if children:
+                stack.extend(reversed(children))
 
     def _var_ref(self, ref: VarRef, loop_vars: Tuple[str, ...]) -> None:
-        if ref.name in loop_vars:
-            return
+        """Flag a read of an undeclared name or of a whole array."""
         decl = self.symbols.get(ref.name)
         if decl is None:
             self._flag(
@@ -192,9 +211,8 @@ class _Verifier:
                 f"array {ref.name!r} used without subscripts", loop_vars,
             )
 
-    def _array_ref(
-        self, ref: ArrayRef, loop_vars: Tuple[str, ...], recurse: bool = True
-    ) -> None:
+    def _array_ref(self, ref: ArrayRef, loop_vars: Tuple[str, ...]) -> None:
+        """The reference's own checks; :meth:`_expr` visits its subscripts."""
         decl = self.symbols.get(ref.array)
         if decl is None:
             self._flag(
@@ -215,15 +233,14 @@ class _Verifier:
             )
         if self.require_affine:
             self._affine(ref, loop_vars)
-        if recurse:
-            for index in ref.indices:
-                self._expr(index, loop_vars)
 
     def _affine(self, ref: ArrayRef, loop_vars: Tuple[str, ...]) -> None:
-        from repro.analysis.affine import linearize
+        index_set = self._index_sets.get(loop_vars)
+        if index_set is None:
+            index_set = self._index_sets[loop_vars] = frozenset(loop_vars)
         for position, index in enumerate(ref.indices):
             try:
-                linearize(index, loop_vars)
+                self._linearize(index, index_set)
             except AnalysisError as error:
                 self._flag(
                     "non-affine-subscript",

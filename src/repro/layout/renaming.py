@@ -21,7 +21,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.affine import AffineExpr, linearize
 from repro.errors import AnalysisError, LayoutError
-from repro.ir.expr import ArrayRef, BinOp, Expr, IntLit, VarRef
+from repro.ir.expr import (
+    ArrayRef, BinOp, Call, Expr, IntLit, UnOp, VarRef, array_refs, same_nodes,
+)
 from repro.ir.stmt import Assign, For, If, RotateRegisters, Stmt
 from repro.ir.symbols import Program, VarDecl
 from repro.layout.plan import BankedArray
@@ -52,9 +54,8 @@ def observe_accesses(program: Program) -> List[ObservedAccess]:
     counter = [0]
 
     def visit_expr(expr: Expr, scope: List[str], depth: int, region: int) -> None:
-        for node in expr.walk():
-            if isinstance(node, ArrayRef):
-                _record(node, scope, depth, region, is_write=False)
+        for node in array_refs(expr):
+            _record(node, scope, depth, region, is_write=False)
 
     def _record(ref: ArrayRef, scope: List[str], depth: int, region: int,
                 is_write: bool) -> None:
@@ -241,11 +242,17 @@ def _product(values: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 def _rewrite_program(program: Program, banked: Dict[str, BankedArray]) -> Program:
+    """Rebank every reference to a banked array; any statement or
+    expression that holds none comes back as the same object."""
+
     def rewrite_stmt(stmt: Stmt, scope: List[str]) -> Stmt:
         if isinstance(stmt, Assign):
             target = rewrite_expr(stmt.target, scope)
             assert isinstance(target, (VarRef, ArrayRef))
-            return Assign(target, rewrite_expr(stmt.value, scope))
+            value = rewrite_expr(stmt.value, scope)
+            if target is stmt.target and value is stmt.value:
+                return stmt
+            return Assign(target, value)
         if isinstance(stmt, If):
             return If(
                 rewrite_expr(stmt.cond, scope),
@@ -262,19 +269,22 @@ def _rewrite_program(program: Program, banked: Dict[str, BankedArray]) -> Progra
     def rewrite_expr(expr: Expr, scope: List[str]) -> Expr:
         if isinstance(expr, ArrayRef):
             indices = tuple(rewrite_expr(e, scope) for e in expr.indices)
+            if not same_nodes(indices, expr.indices):
+                expr = ArrayRef(expr.array, indices)
             plan = banked.get(expr.array)
-            if plan is None:
-                return ArrayRef(expr.array, indices)
-            return _rebank(ArrayRef(expr.array, indices), plan, scope)
+            return expr if plan is None else _rebank(expr, plan, scope)
         if isinstance(expr, BinOp):
-            return BinOp(
-                expr.op, rewrite_expr(expr.left, scope), rewrite_expr(expr.right, scope)
-            )
-        from repro.ir.expr import Call, UnOp
+            left = rewrite_expr(expr.left, scope)
+            right = rewrite_expr(expr.right, scope)
+            if left is expr.left and right is expr.right:
+                return expr
+            return BinOp(expr.op, left, right)
         if isinstance(expr, UnOp):
-            return UnOp(expr.op, rewrite_expr(expr.operand, scope))
+            operand = rewrite_expr(expr.operand, scope)
+            return expr if operand is expr.operand else UnOp(expr.op, operand)
         if isinstance(expr, Call):
-            return Call(expr.name, tuple(rewrite_expr(a, scope) for a in expr.args))
+            args = tuple(rewrite_expr(a, scope) for a in expr.args)
+            return expr if same_nodes(args, expr.args) else Call(expr.name, args)
         return expr
 
     body = tuple(rewrite_stmt(stmt, []) for stmt in program.body)

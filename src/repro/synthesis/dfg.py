@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import SynthesisError
-from repro.ir.expr import ArrayRef, BinOp, Call, Expr, IntLit, UnOp, VarRef
+from repro.ir.expr import (
+    COMPARE_OPS, LOGICAL_OPS, ArrayRef, BinOp, Call, Expr, IntLit, UnOp, VarRef,
+)
 from repro.ir.stmt import Assign, If, RotateRegisters, Stmt
 from repro.ir.symbols import Program
 from repro.layout.plan import InterleavedArray
@@ -190,28 +192,41 @@ class DataflowBuilder:
         """Returns the node producing the expression's value, or ``None``
         when the value is available without computation (literals,
         loop indices, scalars defined outside the region)."""
+        return self._visit(expr, predicate)[0]
+
+    def _visit(
+        self, expr: Expr, predicate: Optional[Node]
+    ) -> Tuple[Optional[Node], int]:
+        """:meth:`_visit_expr` plus the expression's bit width, so every
+        node is sized once, from its operands' widths."""
         if isinstance(expr, IntLit):
-            return None
+            return None, max(expr.value.bit_length() + 1, 2)
         if isinstance(expr, VarRef):
-            return self.last_def.get(expr.name)
+            return self.last_def.get(expr.name), self._scalar_width(expr.name)
         if isinstance(expr, ArrayRef):
-            return self._emit_read(expr, predicate)
+            node = self._emit_read(expr, predicate)
+            return node, node.width
         if isinstance(expr, UnOp):
-            operand = self._visit_expr(expr.operand, predicate)
-            width = self._width(expr)
+            operand, operand_width = self._visit(expr.operand, predicate)
+            width = 1 if expr.op == "!" else operand_width
             node = self._new_node(expr.op, width, _drop_none([operand]))
             self._record_register_uses(node, (expr.operand,))
-            return node
+            return node, width
         if isinstance(expr, Call):
-            args = [self._visit_expr(a, predicate) for a in expr.args]
-            width = self._width(expr)
-            node = self._new_node(expr.name, width, _drop_none(args))
+            visited = [self._visit(a, predicate) for a in expr.args]
+            width = max(arg_width for _, arg_width in visited)
+            node = self._new_node(
+                expr.name, width, _drop_none([arg for arg, _ in visited])
+            )
             self._record_register_uses(node, expr.args)
-            return node
+            return node, width
         if isinstance(expr, BinOp):
-            left = self._visit_expr(expr.left, predicate)
-            right = self._visit_expr(expr.right, predicate)
-            width = self._width(expr)
+            left, left_width = self._visit(expr.left, predicate)
+            right, right_width = self._visit(expr.right, predicate)
+            if expr.op in COMPARE_OPS or expr.op in LOGICAL_OPS:
+                width = 1
+            else:
+                width = max(left_width, right_width)
             kind = expr.op
             # Strength reduction, as logic synthesis performs it: division
             # or multiplication by a power-of-two literal is wiring plus a
@@ -222,7 +237,7 @@ class DataflowBuilder:
                 kind = "<<"
             node = self._new_node(kind, width, _drop_none([left, right]))
             self._record_register_uses(node, (expr.left, expr.right))
-            return node
+            return node, width
         raise SynthesisError(f"cannot synthesize expression {type(expr).__name__}")
 
     def _record_register_uses(self, consumer: Node, operands: Tuple[Expr, ...]) -> None:
@@ -329,26 +344,6 @@ class DataflowBuilder:
         if decl is not None:
             return decl.type.width
         return self.index_widths.get(name, 32)
-
-    def _width(self, expr: Expr) -> int:
-        from repro.ir.expr import COMPARE_OPS, LOGICAL_OPS
-        if isinstance(expr, IntLit):
-            return max(expr.value.bit_length() + 1, 2)
-        if isinstance(expr, VarRef):
-            return self._scalar_width(expr.name)
-        if isinstance(expr, ArrayRef):
-            return self._element_width(expr.array)
-        if isinstance(expr, UnOp):
-            if expr.op == "!":
-                return 1
-            return self._width(expr.operand)
-        if isinstance(expr, Call):
-            return max(self._width(a) for a in expr.args)
-        if isinstance(expr, BinOp):
-            if expr.op in COMPARE_OPS or expr.op in LOGICAL_OPS:
-                return 1
-            return max(self._width(expr.left), self._width(expr.right))
-        raise SynthesisError(f"cannot size expression {type(expr).__name__}")
 
 
 def _drop_none(items: List[Optional[Node]]) -> List[Node]:

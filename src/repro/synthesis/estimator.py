@@ -138,6 +138,7 @@ def synthesize(
     from repro.incremental.memo import current_memo
     memo = current_memo()
     memo_context = None
+    symbols = program.symbol_table
     if memo is not None:
         from repro.incremental.hashing import schedule_context
         memo_context = schedule_context(
@@ -156,8 +157,7 @@ def synthesize(
             if memo is not None:
                 from repro.incremental.hashing import region_fingerprint
                 fingerprint = region_fingerprint(
-                    block.statements, memo_context,
-                    symbols=program.symbol_table,
+                    block.statements, memo_context, symbols=symbols,
                 )
                 schedule = memo.schedule_get(fingerprint)
             if schedule is None:
@@ -278,11 +278,10 @@ def _steady_state_slice(
 
 def _used_arrays(program: Program, physical: Mapping[str, int]) -> List[str]:
     """Arrays actually referenced somewhere in the program body."""
-    from repro.ir.expr import ArrayRef
+    from repro.ir.expr import array_refs
     used = set()
     for stmt in program.statements():
         for expr in stmt.expressions():
-            for node in expr.walk():
-                if isinstance(node, ArrayRef):
-                    used.add(node.array)
+            for node in array_refs(expr):
+                used.add(node.array)
     return sorted(used)

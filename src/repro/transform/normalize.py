@@ -9,58 +9,53 @@ bank selection.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict
 
-from repro.ir.expr import ArrayRef, BinOp, IntLit, VarRef, fold_constants, substitute
+from repro.ir.expr import ArrayRef, BinOp, Expr, IntLit, VarRef, substitute_folded
 from repro.ir.stmt import Assign, For, If, RotateRegisters, Stmt
 from repro.ir.symbols import Program
 
 
 def normalize_loops(program: Program) -> Program:
-    """Normalize every loop in the program to lower bound 0 and step 1."""
+    """Normalize every loop in the program to lower bound 0 and step 1.
 
-    def rebuild(stmt: Stmt) -> Stmt:
+    Each statement is rewritten once, with the replacements of all its
+    enclosing strided loops applied together.  That equals normalizing
+    innermost loop first and re-folding the result at every enclosing
+    strided loop: a replacement ``lower + step * v`` mentions only its
+    own variable and never folds to a literal, so folding in between
+    changes nothing the final fold would not.
+    """
+
+    def rebuild(stmt: Stmt, bindings: Dict[str, Expr]) -> Stmt:
         if isinstance(stmt, For):
-            body = tuple(rebuild(s) for s in stmt.body)
-            if stmt.lower == 0 and stmt.step == 1:
-                return For(stmt.var, 0, stmt.upper, 1, body)
-            replacement = BinOp(
-                "+",
-                IntLit(stmt.lower),
-                BinOp("*", IntLit(stmt.step), VarRef(stmt.var)),
-            )
-            new_body = tuple(_substitute_stmt(s, stmt.var, replacement) for s in body)
-            return For(stmt.var, 0, stmt.trip_count, 1, new_body)
+            upper = stmt.upper
+            if stmt.lower != 0 or stmt.step != 1:
+                replacement = BinOp(
+                    "+",
+                    IntLit(stmt.lower),
+                    BinOp("*", IntLit(stmt.step), VarRef(stmt.var)),
+                )
+                # An enclosing loop with the same index would rewrite
+                # this replacement too.
+                bindings = dict(bindings)
+                bindings[stmt.var] = substitute_folded(replacement, bindings)
+                upper = stmt.trip_count
+            body = tuple(rebuild(s, bindings) for s in stmt.body)
+            return For(stmt.var, 0, upper, 1, body)
         if isinstance(stmt, If):
+            cond = substitute_folded(stmt.cond, bindings) if bindings else stmt.cond
             return If(
-                stmt.cond,
-                tuple(rebuild(s) for s in stmt.then_body),
-                tuple(rebuild(s) for s in stmt.else_body),
+                cond,
+                tuple(rebuild(s, bindings) for s in stmt.then_body),
+                tuple(rebuild(s, bindings) for s in stmt.else_body),
             )
-        return stmt
+        if not bindings or isinstance(stmt, RotateRegisters):
+            return stmt
+        if isinstance(stmt, Assign):
+            target = substitute_folded(stmt.target, bindings)
+            assert isinstance(target, (VarRef, ArrayRef))
+            return Assign(target, substitute_folded(stmt.value, bindings))
+        raise TypeError(f"unknown statement node {type(stmt).__name__}")
 
-    return program.with_body(tuple(rebuild(stmt) for stmt in program.body))
-
-
-def _substitute_stmt(stmt: Stmt, var: str, replacement) -> Stmt:
-    bindings = {var: replacement}
-    if isinstance(stmt, Assign):
-        target = substitute(stmt.target, bindings)
-        assert isinstance(target, (VarRef, ArrayRef))
-        return Assign(fold_constants(target), fold_constants(substitute(stmt.value, bindings)))
-    if isinstance(stmt, If):
-        return If(
-            fold_constants(substitute(stmt.cond, bindings)),
-            tuple(_substitute_stmt(s, var, replacement) for s in stmt.then_body),
-            tuple(_substitute_stmt(s, var, replacement) for s in stmt.else_body),
-        )
-    if isinstance(stmt, For):
-        # Nested loops were already normalized bottom-up; their index
-        # variables are distinct from ``var`` by semantic checking.
-        return For(
-            stmt.var, stmt.lower, stmt.upper, stmt.step,
-            tuple(_substitute_stmt(s, var, replacement) for s in stmt.body),
-        )
-    if isinstance(stmt, RotateRegisters):
-        return stmt
-    raise TypeError(f"unknown statement node {type(stmt).__name__}")
+    return program.with_body(tuple(rebuild(stmt, {}) for stmt in program.body))

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import TransformError
 from repro.ir.expr import (
     ArrayRef, BinOp, Call, Expr, IntLit, UnOp, VarRef, fold_constants,
+    substitute_folded,
 )
 from repro.ir.nest import LoopNest
 from repro.ir.stmt import Assign, For, If, RotateRegisters, Stmt
@@ -136,18 +137,17 @@ def _var_and_literal(cond: BinOp) -> Tuple[Optional[str], int]:
 
 def _substitute_and_fold(stmt: Stmt, var: str, value: int) -> Stmt:
     """Bind a loop index to a constant throughout a statement tree."""
-    from repro.ir.expr import substitute
     bindings = {var: IntLit(value)}
 
     def walk(node: Stmt) -> Stmt:
         if isinstance(node, Assign):
-            target = substitute(node.target, bindings)
+            target = substitute_folded(node.target, bindings)
             if not isinstance(target, (VarRef, ArrayRef)):
                 raise TransformError("substitution produced a non-lvalue", stage="peel")
-            return Assign(fold_constants(target), fold_constants(substitute(node.value, bindings)))
+            return Assign(target, substitute_folded(node.value, bindings))
         if isinstance(node, If):
             return If(
-                fold_constants(substitute(node.cond, bindings)),
+                substitute_folded(node.cond, bindings),
                 tuple(walk(s) for s in node.then_body),
                 tuple(walk(s) for s in node.else_body),
             )

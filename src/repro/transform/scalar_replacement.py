@@ -30,7 +30,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.reuse import ReuseAnalysis, ReuseGroup, ReuseKind
 from repro.errors import TransformError
-from repro.ir.expr import ArrayRef, BinOp, Expr, IntLit, VarRef
+from repro.ir.expr import (
+    ArrayRef, BinOp, Call, Expr, IntLit, UnOp, VarRef, same_nodes,
+)
 from repro.ir.nest import LoopNest
 from repro.ir.stmt import Assign, For, If, RotateRegisters, Stmt
 from repro.ir.symbols import Program, VarDecl
@@ -159,7 +161,7 @@ class _Rewriter:
     def apply_invariant(self, group: ReuseGroup, stats: ReplacementStats) -> None:
         element_type = self.program.decl(group.array).type
         for offset in group.distinct_offsets:
-            members = [m for m in group.accesses if m.constant_vector() == offset]
+            members = group.by_offset[offset]
             register = self._fresh(_offset_name(group.array, offset), element_type)
             representative = members[0].ref
             # A write-only set needs no initial load — unless a zero-trip
@@ -212,7 +214,7 @@ class _Rewriter:
                 loop=carrier.var,
             )
         for offset in group.distinct_offsets:
-            members = [m for m in group.accesses if m.constant_vector() == offset]
+            members = group.by_offset[offset]
             base = _offset_name(group.array, offset)
             bank = [
                 self._fresh(f"{base}_{slot}", element_type) for slot in range(bank_size)
@@ -248,17 +250,16 @@ class _Rewriter:
         inner = self.nest.loop_at(depth)
         needs_peel = False
         for chain in group.chains:
-            members = [
-                m for m in group.accesses
-                if m.constant_vector() in chain.member_offsets
-            ]
             base = _offset_name(group.array, (chain.min_offset,) + chain.key)
             bank = [
                 self._fresh(f"{base}_{slot}", element_type)
                 for slot in range(chain.span)
             ]
-            anchor = min(members, key=lambda m: m.constant_vector()[chain.dim])
-            anchor_offset = anchor.constant_vector()[chain.dim]
+            # The chain's offsets differ only along ``dim``, so the
+            # leading offset's first member in program order anchors it.
+            leading = min(chain.member_offsets, key=lambda o: o[chain.dim])
+            anchor = group.by_offset[leading][0]
+            anchor_offset = leading[chain.dim]
 
             def ref_for_slot(slot: int) -> ArrayRef:
                 delta = (chain.min_offset + slot * chain.advance) - anchor_offset
@@ -282,10 +283,11 @@ class _Rewriter:
                 needs_peel = True
             head_load = Assign(VarRef(bank[-1]), ref_for_slot(chain.span - 1))
             self.pre.setdefault(depth, []).append(head_load)
-            for member in members:
-                slot = chain.register_slot(member.constant_vector())
-                self.rewrites[id(member.ref)] = VarRef(bank[slot])
-                stats.reads_removed += 1
+            for offset in chain.member_offsets:
+                slot = chain.register_slot(offset)
+                for member in group.by_offset[offset]:
+                    self.rewrites[id(member.ref)] = VarRef(bank[slot])
+                    stats.reads_removed += 1
             stats.reads_removed -= 1  # the head load survives
             if chain.span > 1:
                 self.post.setdefault(depth, []).append(
@@ -297,10 +299,7 @@ class _Rewriter:
     def apply_body_only(self, group: ReuseGroup, stats: ReplacementStats) -> None:
         element_type = self.program.decl(group.array).type
         for offset in group.distinct_offsets:
-            members = [
-                m for m in group.accesses
-                if m.constant_vector() == offset and m.is_read
-            ]
+            members = [m for m in group.by_offset[offset] if m.is_read]
             if len(members) < 2:
                 continue
             register = self._fresh(_offset_name(group.array, offset), element_type)
@@ -341,13 +340,19 @@ class _Rewriter:
         body.extend(self.post.get(depth, []))
         return For(loop.var, loop.lower, loop.upper, loop.step, tuple(body))
 
+    # Rewriting returns the input node itself wherever nothing under it
+    # is replaced: every ArrayRef still appears once in the output.
+
     def _rewrite_stmt(self, stmt: Stmt) -> Stmt:
         if isinstance(stmt, Assign):
             target = self._rewrite_expr(stmt.target)
             if not isinstance(target, (VarRef, ArrayRef)):
                 raise TransformError("rewrite produced a non-lvalue target",
                                      stage="scalar_replacement")
-            return Assign(target, self._rewrite_expr(stmt.value))
+            value = self._rewrite_expr(stmt.value)
+            if target is stmt.target and value is stmt.value:
+                return stmt
+            return Assign(target, value)
         if isinstance(stmt, If):
             return If(
                 self._rewrite_expr(stmt.cond),
@@ -366,18 +371,22 @@ class _Rewriter:
         if replacement is not None:
             return replacement
         if isinstance(expr, ArrayRef):
-            return ArrayRef(
-                expr.array, tuple(self._rewrite_expr(e) for e in expr.indices)
-            )
+            indices = tuple(self._rewrite_expr(e) for e in expr.indices)
+            if same_nodes(indices, expr.indices):
+                return expr
+            return ArrayRef(expr.array, indices)
         if isinstance(expr, BinOp):
-            return BinOp(
-                expr.op, self._rewrite_expr(expr.left), self._rewrite_expr(expr.right)
-            )
-        from repro.ir.expr import Call, UnOp
+            left = self._rewrite_expr(expr.left)
+            right = self._rewrite_expr(expr.right)
+            if left is expr.left and right is expr.right:
+                return expr
+            return BinOp(expr.op, left, right)
         if isinstance(expr, UnOp):
-            return UnOp(expr.op, self._rewrite_expr(expr.operand))
+            operand = self._rewrite_expr(expr.operand)
+            return expr if operand is expr.operand else UnOp(expr.op, operand)
         if isinstance(expr, Call):
-            return Call(expr.name, tuple(self._rewrite_expr(a) for a in expr.args))
+            args = tuple(self._rewrite_expr(a) for a in expr.args)
+            return expr if same_nodes(args, expr.args) else Call(expr.name, args)
         return expr
 
     def _fresh(self, base: str, element_type) -> str:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.errors import TransformError
-from repro.ir.expr import ArrayRef, BinOp, IntLit, VarRef, fold_constants, substitute
+from repro.ir.expr import ArrayRef, BinOp, IntLit, VarRef, substitute_folded
 from repro.ir.stmt import Assign, For, If, RotateRegisters, Stmt, walk_all
 from repro.ir.symbols import Program
 
@@ -105,14 +105,12 @@ def _fresh(base: str, taken: Set[str]) -> str:
 def _substitute_stmt(stmt: Stmt, var: str, replacement) -> Stmt:
     bindings = {var: replacement}
     if isinstance(stmt, Assign):
-        target = substitute(stmt.target, bindings)
+        target = substitute_folded(stmt.target, bindings)
         assert isinstance(target, (VarRef, ArrayRef))
-        return Assign(
-            fold_constants(target), fold_constants(substitute(stmt.value, bindings))
-        )
+        return Assign(target, substitute_folded(stmt.value, bindings))
     if isinstance(stmt, If):
         return If(
-            fold_constants(substitute(stmt.cond, bindings)),
+            substitute_folded(stmt.cond, bindings),
             tuple(_substitute_stmt(s, var, replacement) for s in stmt.then_body),
             tuple(_substitute_stmt(s, var, replacement) for s in stmt.else_body),
         )

@@ -113,14 +113,22 @@ def unroll_and_jam(program: Program, factors: UnrollVector) -> Program:
                 location=info.loop.location,
             )
     context = _UnrollContext(program)
+    # Substituting a folded, non-literal expression (``i + k``, a renamed
+    # scalar) for a variable leaves a folded statement folded: whether a
+    # folding rule applies depends only on literal operands, and those
+    # stay where they were.  So the copies of a folded nest need no
+    # folding pass.
+    copies_folded = _nest_is_folded(nest)
     new_body: List[Stmt] = []
     for stmt in program.body:
         if stmt is nest.outermost:
-            new_body.extend(context.unroll(stmt, list(factors.factors)))
+            unrolled = context.unroll(stmt, list(factors.factors))
+            new_body.extend(
+                unrolled if copies_folded else map(_fold_stmt, unrolled)
+            )
         else:
-            new_body.append(stmt)
-    folded = tuple(_fold_stmt(stmt) for stmt in new_body)
-    result = program.with_body(folded)
+            new_body.append(_fold_stmt(stmt))
+    result = program.with_body(tuple(new_body))
     if context.new_decls:
         result = result.with_decl(*context.new_decls)
     return result
@@ -164,7 +172,11 @@ class _UnrollContext:
         main = For(loop.var, loop.lower, main_upper, loop.step * factor, jammed)
         result: List[Stmt] = [main]
         if main_trips != trip:
-            result.append(For(loop.var, main_upper, loop.upper, loop.step, tuple(body)))
+            # A copy of its own (substitution builds new references):
+            # the first unrolled copy may hold the very statements of
+            # ``body``.
+            epilogue = tuple(_substitute_stmt(stmt, {}, {}) for stmt in body)
+            result.append(For(loop.var, main_upper, loop.upper, loop.step, epilogue))
         return result
 
     def _unroll_inner(self, body: Tuple[Stmt, ...], factors: List[int]) -> List[Stmt]:
@@ -238,7 +250,11 @@ def _privatizable_scalars(body: Sequence[Stmt]) -> Set[str]:
 def _make_copy(
     body: Sequence[Stmt], var: str, shift: int, renames: Dict[str, str]
 ) -> List[Stmt]:
-    """One unrolled copy: ``var -> var + shift`` plus scalar privatization."""
+    """One unrolled copy: ``var -> var + shift`` plus scalar privatization.
+
+    Copies stay unfolded until the whole nest is built: privatization at
+    an enclosing level reads them, and folding can drop a read
+    (``x * 0``)."""
     bindings: Dict[str, Expr] = {old: VarRef(new) for old, new in renames.items()}
     if shift != 0:
         bindings[var] = BinOp("+", VarRef(var), IntLit(shift))
@@ -309,10 +325,39 @@ def _jam(copies: List[List[Stmt]]) -> Tuple[Stmt, ...]:
     return tuple(jammed)
 
 
-def _fold_stmt(stmt: Stmt) -> Stmt:
-    """Recursively constant-fold every expression in a statement tree."""
+def _nest_is_folded(nest: LoopNest) -> bool:
+    """True if folding would leave every statement of the nest as it is.
+
+    A loop other than the nest's own chain (one under an ``if``) counts
+    as unfolded: the folding pass rebuilds it.
+    """
+    for info in nest.loops:
+        for stmt in info.loop.body:
+            if not isinstance(stmt, For) and not _is_folded(stmt):
+                return False
+    return True
+
+
+def _is_folded(stmt: Stmt) -> bool:
     if isinstance(stmt, Assign):
-        return Assign(fold_constants(stmt.target), fold_constants(stmt.value))
+        return (fold_constants(stmt.target) is stmt.target
+                and fold_constants(stmt.value) is stmt.value)
+    if isinstance(stmt, If):
+        return fold_constants(stmt.cond) is stmt.cond and all(
+            _is_folded(inner) for inner in stmt.children()
+        )
+    return isinstance(stmt, RotateRegisters)
+
+
+def _fold_stmt(stmt: Stmt) -> Stmt:
+    """Recursively constant-fold every expression in a statement tree
+    (an assignment with nothing to fold is kept as it is)."""
+    if isinstance(stmt, Assign):
+        target = fold_constants(stmt.target)
+        value = fold_constants(stmt.value)
+        if target is stmt.target and value is stmt.value:
+            return stmt
+        return Assign(target, value)
     if isinstance(stmt, If):
         return If(
             fold_constants(stmt.cond),

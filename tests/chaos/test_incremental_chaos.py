@@ -16,6 +16,7 @@ under that damage:
 """
 
 import json
+import types
 
 import pytest
 
@@ -109,11 +110,18 @@ def test_journal_ruined_end_to_end_loads_empty(tmp_path):
     assert ruined.memo_stats["invalidations"] >= 1
 
 
-def test_fsck_repairs_a_bitflipped_memo_journal(tmp_path):
+def test_fsck_repairs_a_bitflipped_memo_journal(tmp_path, monkeypatch):
     """``repro fsck`` covers the memo prefix: detect, repair, compact."""
     from repro.durable.fsck import inspect_path, repair_path
+    from repro.incremental import journal as memo_journal
     from repro.kernels import kernel_by_name
     kernel = kernel_by_name("fir")
+    # The flipped bit's position depends on the record bytes, which carry
+    # a wall-clock ``ts``: pin the memo journal's clock so the damage
+    # (and the count below) is the same on every run.
+    monkeypatch.setattr(
+        memo_journal, "time", types.SimpleNamespace(time=lambda: 1760000000.5)
+    )
 
     memo_dir = tmp_path / "run" / "memo"
     faults.activate(bitflip_spec(tmp_path, max_hits=2))

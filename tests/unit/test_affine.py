@@ -48,6 +48,30 @@ class TestLinearize:
         with pytest.raises(AnalysisError):
             linearize(arr("A", "i"), ["i"])
 
+    def test_form_is_derived_once_per_node(self):
+        expr = add(mul(2, "i"), 1)
+        first = linearize(expr, ["i", "j"])
+        assert linearize(expr, ("i",)) is first
+        assert expr == add(mul(2, "i"), 1)  # equality ignores the form
+
+    def test_cached_form_still_checks_the_index_variables(self):
+        expr = add("i", "j")
+        linearize(expr, ["i", "j"])
+        with pytest.raises(AnalysisError, match="non-index variable"):
+            linearize(expr, ["i"])
+
+    def test_cancelled_variable_still_checked(self):
+        expr = sub(add("i", "n"), var("n"))
+        assert linearize(expr, ["i", "n"]).coefficients == {"i": 1}
+        with pytest.raises(AnalysisError, match="non-index variable"):
+            linearize(expr, ["i"])
+
+    def test_non_affine_raises_every_time(self):
+        expr = mul("i", "j")
+        for _ in range(2):
+            with pytest.raises(AnalysisError, match="non-linear"):
+                linearize(expr, ["i", "j"])
+
 
 class TestAffineExpr:
     def test_evaluate(self):

@@ -142,6 +142,32 @@ class TestDamageTaxonomy:
         assert scan.corrupt[0].lineno == 2
         assert [r["event"] for r in scan.records] == ["a", "c"]
 
+    def test_form_feed_flip_is_one_record_at_its_own_line(self, tmp_path):
+        # One bit flip turns ',' (0x2C) into a form feed (0x0C).
+        # Records split at '\n' only: the damage is one bad record on
+        # line 2, and line counts and numbering stay those of the file.
+        journal = open_journal(tmp_path)
+        for name in ("a", "b", "c"):
+            journal.append({"event": name, "n": 1})
+        journal.close()
+        path = tmp_path / "jobs.jsonl"
+        data = path.read_bytes()
+        second = data.index(b"\n") + 1
+        flip = data.index(b",", second)
+        path.write_bytes(data[:flip] + b"\x0c" + data[flip + 1:])
+        scan = scan_journal(tmp_path, "jobs")
+        assert [(d.lineno, d.problem) for d in scan.corrupt] == [(2, "bad_json")]
+        assert scan.torn_tail is None
+        assert [r["event"] for r in scan.records] == ["a", "c"]
+        assert scan.position.lines == 3
+        from repro.durable.fsck import inspect_journal, repair_journal
+        report = inspect_journal(tmp_path, "jobs")
+        assert [d["line"] for s in report.segments for d in s.corrupt] == [2]
+        repair_journal(tmp_path, "jobs")
+        repaired = scan_journal(tmp_path, "jobs")
+        assert [r["event"] for r in repaired.records] == ["a", "c"]
+        assert repaired.corrupt == [] and repaired.position.lines == 2
+
     def test_torn_tail_only_in_final_segment(self, tmp_path):
         journal = open_journal(tmp_path, max_segment_bytes=60)
         for index in range(4):

@@ -6,7 +6,7 @@ from repro.ir.builder import add, arr, binop, call, ex, lit, mul, neg, sub, var
 from repro.ir.expr import (
     ArrayRef, BinOp, Call, IntLit, UnOp, VarRef,
     array_refs, fold_constants, referenced_arrays, referenced_scalars,
-    substitute,
+    substitute, substitute_folded,
 )
 
 
@@ -124,6 +124,40 @@ class TestFolding:
     def test_unary_folding(self):
         assert fold_constants(neg(lit(5))).value == -5
         assert fold_constants(UnOp("!", lit(0))).value == 1
+
+    def test_nothing_to_fold_returns_the_same_node(self):
+        expr = add(arr("A", add("i", 1)), call("abs", var("x")))
+        assert fold_constants(expr) is expr
+        partly = add(arr("A", add("i", 1)), add(2, 3))
+        folded = fold_constants(partly)
+        assert folded.left is partly.left and folded.right == lit(5)
+
+
+class TestSubstituteFolded:
+    CASES = [
+        add(arr("A", add("i", "j")), mul("j", 1)),
+        mul(sub("j", 0), add(2, 3)),
+        binop("<", add("j", 0), lit(4)),
+        call("max", neg(var("j")), add(0, "k")),
+        mul(add("j", "k"), lit(0)),
+    ]
+
+    @pytest.mark.parametrize("expr", CASES)
+    @pytest.mark.parametrize("bindings", [
+        {"j": add("j", 2)},
+        {"j": add(0, mul(2, "j")), "k": var("k2")},
+        {"j": lit(3)},
+        {},
+    ])
+    def test_equals_fold_after_substitute(self, expr, bindings):
+        assert substitute_folded(expr, bindings) == fold_constants(
+            substitute(expr, bindings)
+        )
+
+    def test_references_are_always_new(self):
+        expr = arr("A", var("i"))
+        assert substitute_folded(expr, {}) == expr
+        assert substitute_folded(expr, {}) is not expr
 
 
 class TestBuilderCoercion:

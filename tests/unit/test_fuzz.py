@@ -50,6 +50,21 @@ class TestRunFuzz:
         assert report.failures[0].stage == "generate"
         assert "exploded" in report.failures[0].message
 
+    def test_pipeline_divergence_is_a_finding(self, monkeypatch):
+        # A layout plan that reports the wrong array contents must be
+        # caught by the whole-pipeline check, not by any earlier one.
+        from repro.layout.plan import LayoutPlan
+
+        def corrupt(self, bank_contents, original):
+            return [cell + 1 for cell in original_gather(self, bank_contents, original)]
+
+        original_gather = LayoutPlan.gather_array
+        monkeypatch.setattr(LayoutPlan, "gather_array", corrupt)
+        report = run_fuzz(6, seed=3)
+        stages = {failure.stage for failure in report.failures}
+        assert stages == {"pipeline"}
+        assert all(f.unroll is not None for f in report.failures)
+
     def test_artifacts_written_on_failure(self, monkeypatch, tmp_path):
         original = fuzz.generate_program
         calls = []

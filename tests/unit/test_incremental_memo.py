@@ -109,6 +109,36 @@ class TestDomains:
         assert len(memo) == 4
 
 
+class TestProgramHash:
+    def test_digest_is_the_printed_program_and_lives_on_it(self):
+        from repro.incremental import hashing
+        from repro.ir.printer import print_program
+        program = FIR.program()
+        digest = hashing.program_hash(program)
+        assert digest == hashing.sha(print_program(program))
+        assert program.digest is digest
+
+    def test_hashing_keeps_no_program_alive(self):
+        import gc
+        import weakref
+        from repro.incremental.hashing import program_hash
+        program = FIR.program()
+        program_hash(program)
+        alive = weakref.ref(program)
+        del program
+        gc.collect()
+        assert alive() is None
+
+    def test_equal_programs_hash_equal_and_edits_rehash(self):
+        from repro.incremental.hashing import program_hash
+        program = FIR.program()
+        assert program_hash(FIR.program()) == program_hash(program)
+        renamed = replace(program, name="other")
+        assert program_hash(renamed) == program_hash(program)
+        trimmed = program.with_body(program.body[:0])
+        assert program_hash(trimmed) != program_hash(program)
+
+
 class TestScheduleCodec:
     def test_roundtrip_is_bit_identical(self):
         schedule = sample_schedule()

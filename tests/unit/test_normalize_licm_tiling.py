@@ -123,6 +123,26 @@ class TestLICM:
         hoisted = hoist_invariants(program)
         assert run_program(hoisted).scalars["t"] == 0  # never executed
 
+    def test_nothing_to_hoist_returns_the_input(self, fir_program):
+        assert hoist_invariants(fir_program) is fir_program
+        unrolled = unroll_and_jam(fir_program, UnrollVector.of(2, 2))
+        assert hoist_invariants(unrolled) is unrolled
+
+    def test_hoist_keeps_untouched_statements(self):
+        src = """
+        int A[8]; int t; int s;
+        for (i = 0; i < 8; i++) {
+          t = 5;
+          s = s + i;
+          A[i] = t;
+        }
+        """
+        program = compile_source(src)
+        hoisted = hoist_invariants(program)
+        loop = program.body[0]
+        assert hoisted.body[0] is loop.body[0]  # ``t = 5`` moved out as is
+        assert hoisted.body[1].body[0] is loop.body[1]
+
 
 class TestTiling:
     def test_tile_structure(self):
