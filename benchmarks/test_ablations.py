@@ -12,7 +12,8 @@
 import pytest
 
 from benchmarks.common import board_for, emit
-from repro.dse import BalanceGuidedSearch, DesignSpace
+from repro.dse import BalanceGuidedStrategy, DesignSpace, analyze_saturation
+from repro.dse.strategy import increase, initial_vector, loop_priority
 from repro.ir import run_program
 from repro.kernels import FIR
 from repro.report import Table
@@ -76,17 +77,18 @@ class TestSearchStrategyAblation:
     def test_bisection_beats_linear_scan(self, benchmark):
         board = board_for("pipelined")
         guided_space = DesignSpace(FIR.program(), board)
-        result = BalanceGuidedSearch(guided_space).run()
+        result = BalanceGuidedStrategy().run(guided_space)
         guided_points = guided_space.points_evaluated
 
         # Linear scan: walk Psat multiples in order until performance
         # stops improving (a natural hand-tuning strategy).
         scan_space = DesignSpace(FIR.program(), board)
-        searcher = BalanceGuidedSearch(scan_space)
-        current = searcher.initial_vector()
+        saturation = analyze_saturation(scan_space.program, board.num_memories)
+        priority = loop_priority(scan_space, saturation)
+        current = initial_vector(saturation, priority)
         best = scan_space.evaluate(current)
         while True:
-            grown = searcher.increase(current)
+            grown = increase(scan_space, current, priority)
             if grown == current:
                 break
             evaluation = scan_space.evaluate(grown)
@@ -107,4 +109,4 @@ class TestSearchStrategyAblation:
         emit("ablation_search", table.render())
         assert guided_points <= scan_points
         assert result.selected.cycles <= best.cycles * 2.0
-        benchmark(lambda: BalanceGuidedSearch(DesignSpace(FIR.program(), board)).run())
+        benchmark(lambda: BalanceGuidedStrategy().run(DesignSpace(FIR.program(), board)))

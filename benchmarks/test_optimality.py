@@ -13,7 +13,7 @@ synthesizing an order of magnitude fewer points.
 import pytest
 
 from benchmarks.common import board_for, emit
-from repro.dse import BalanceGuidedSearch, DesignSpace, explore
+from repro.dse import DesignSpace, explore
 from repro.ir import LoopNest
 from repro.kernels import ALL_KERNELS, kernel_by_name
 from repro.report import Table

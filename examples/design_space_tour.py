@@ -12,7 +12,7 @@ Run:  python examples/design_space_tour.py [kernel]
 import sys
 
 from repro import SearchOptions
-from repro.dse import BalanceGuidedSearch, DesignSpace
+from repro.dse import BalanceGuidedStrategy, DesignSpace
 from repro.ir import LoopNest
 from repro.kernels import kernel_by_name
 from repro.report import Figure
@@ -73,8 +73,7 @@ def main() -> None:
         print()
         print(cycles.render())
 
-        searcher = BalanceGuidedSearch(space, SearchOptions())
-        result = searcher.run()
+        result = BalanceGuidedStrategy().run(space, SearchOptions())
         print(f"\nguided search: Psat={result.saturation.psat}, "
               f"Uinit={result.initial}")
         for step in result.trace:

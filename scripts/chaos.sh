@@ -39,7 +39,7 @@ victim=$!
 
 # wait until the ledger records two completed jobs, then kill -9
 for _ in $(seq 1 600); do
-    done_count=$(grep -c '"event": "job_done"' \
+    done_count=$(grep -cE '"event": *"job_done"' \
         "$workdir/crashed/ledger.jsonl" 2>/dev/null || true)
     [ "${done_count:-0}" -ge 2 ] && break
     if ! kill -0 "$victim" 2>/dev/null; then

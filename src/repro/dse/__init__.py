@@ -12,8 +12,7 @@ from repro.dse.saturation import (
     SaturationInfo, analyze_saturation, compute_psat, saturation_vectors,
 )
 from repro.dse.search import (
-    BalanceGuidedSearch, FidelitySwitch, SearchOptions, SearchResult,
-    TraceStep,
+    FidelitySwitch, SearchOptions, SearchResult, TraceStep,
 )
 from repro.dse.selector import (
     SelectionDecision, SpaceFeatures, StrategyScoreboard, StrategySelector,
@@ -33,7 +32,7 @@ from repro.dse.multinest import (
 )
 
 __all__ = [
-    "BalanceGuidedSearch", "BalanceGuidedStrategy", "DEFAULT_STRATEGY",
+    "BalanceGuidedStrategy", "DEFAULT_STRATEGY",
     "DesignEvaluation", "DesignSpace", "ExhaustiveResult",
     "ExhaustiveStrategy", "ExplorationResult", "ExploreConfig",
     "FidelitySwitch", "GeneticStrategy", "GreedyAscentStrategy",

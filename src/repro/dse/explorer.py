@@ -15,7 +15,7 @@ from typing import Any, List, Optional, Tuple
 
 from repro.dse.failures import PointDiagnostic
 from repro.dse.saturation import SaturationInfo, analyze_saturation
-from repro.dse.search import BalanceGuidedSearch, SearchOptions, SearchResult, TraceStep
+from repro.dse.search import SearchOptions, SearchResult
 from repro.dse.selector import SelectionDecision, select_strategy
 from repro.dse.space import DesignEvaluation, DesignSpace
 from repro.dse.strategy import DEFAULT_STRATEGY, get_strategy
@@ -23,6 +23,7 @@ from repro.errors import SearchError
 from repro.estimate.backends import get_backend
 from repro.estimate.differential import DifferentialReport, validate_run
 from repro.estimate.multifidelity import ConfirmationResult, confirm_selection
+from repro.ir.nest import LoopNest
 from repro.ir.symbols import Program
 from repro.obs import ObsConfig, Tracer, current_tracer, use_registry, use_tracer
 from repro.synthesis.operators import OperatorLibrary
@@ -310,6 +311,34 @@ def explore(
     return result
 
 
+def auto_pinned_space(
+    program: Program,
+    board: Board,
+    options: Optional[PipelineOptions] = None,
+    library: Optional[OperatorLibrary] = None,
+    *,
+    backend=None,
+    guard=None,
+) -> DesignSpace:
+    """The design space with every loop that adds no memory parallelism
+    pinned to factor 1.
+
+    Pins every loop outside the saturation analysis's
+    ``memory_varying_depths`` (the paper fixes MM's innermost loop this
+    way).  The explorer uses it when no explicit pins are given, and
+    the fleet partitions the same lattice into shards.
+    """
+    saturation = analyze_saturation(program, board.num_memories)
+    varying = set(saturation.memory_varying_depths)
+    pins = tuple(
+        depth for depth in range(LoopNest(program).depth)
+        if depth not in varying
+    )
+    return DesignSpace(
+        program, board, options, library, pins, backend=backend, guard=guard,
+    )
+
+
 def _explore(
     program: Program, board: Board, config: ExploreConfig
 ) -> ExplorationResult:
@@ -319,23 +348,16 @@ def _explore(
         )
     backend = get_backend(config.backend)
     search_options = config.search or SearchOptions()
-    # A first space to discover the saturation structure, possibly
-    # re-created with automatic pins.
-    space = DesignSpace(
-        program, board, config.pipeline, config.library, config.pinned_depths,
-        backend=backend, guard=config.guard,
-    )
     if config.pinned_depths is None:
-        saturation = analyze_saturation(program, board.num_memories)
-        varying = set(saturation.memory_varying_depths)
-        auto_pins = tuple(
-            depth for depth in range(space.depth) if depth not in varying
+        space = auto_pinned_space(
+            program, board, config.pipeline, config.library,
+            backend=backend, guard=config.guard,
         )
-        if auto_pins:
-            space = DesignSpace(
-                program, board, config.pipeline, config.library, auto_pins,
-                backend=backend, guard=config.guard,
-            )
+    else:
+        space = DesignSpace(
+            program, board, config.pipeline, config.library,
+            config.pinned_depths, backend=backend, guard=config.guard,
+        )
 
     requested = getattr(search_options, "strategy", None) or DEFAULT_STRATEGY
     selection = None

@@ -1,42 +1,24 @@
-"""The design space exploration algorithm of Figure 2.
+"""The search vocabulary every strategy shares: its options, the
+narrative trace, fidelity-switch records and the result.
 
-Starting from a design in the saturation set (memory parallelism already
-maximal), the search walks unroll products up and down guided by the
-balance metric's monotonicity (Observation 3):
-
-* compute bound (B > 1) and no memory-bound point seen: ``Increase``
-  doubles the unroll product;
-* memory bound (B < 1): the balanced design lies between the last
-  compute-bound point and this one — ``SelectBetween`` bisects products;
-* space exceeds capacity: shrink the same way (``FindLargestFit`` if
-  even the initial point is too big);
-* balanced (within tolerance): done.
-
-Initial unroll factors follow Section 5.3: the whole saturation product
-goes to a loop that carries no dependence if one exists (its unrolled
-iterations are fully parallel); otherwise factors favor loops with the
-largest minimum nonzero dependence distances.
+The walks themselves live in :mod:`repro.dse.strategy`; the paper's
+Figure-2 walk is :class:`~repro.dse.strategy.BalanceGuidedStrategy`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from repro.analysis.dependence import DependenceGraph
 from repro.dse.failures import PointDiagnostic
-from repro.dse.saturation import SaturationInfo, analyze_saturation
-from repro.dse.space import DesignEvaluation, DesignSpace
-from repro.errors import (
-    NoFeasiblePoint, PointFailureBudgetExceeded, SearchError,
-)
-from repro.obs import current_registry, current_tracer
+from repro.dse.saturation import SaturationInfo
+from repro.dse.space import DesignEvaluation
 from repro.transform.unroll import UnrollVector
 
 
 @dataclass
 class SearchOptions:
-    """Tunables for the Figure-2 search."""
+    """Tunables for a search walk (every strategy reads them)."""
 
     #: |B - 1| within this is "balanced, so DONE".
     balance_tolerance: float = 0.10
@@ -115,330 +97,3 @@ class SearchResult:
     @property
     def points_searched(self) -> int:
         return len({step.unroll.factors for step in self.trace})
-
-
-class BalanceGuidedSearch:
-    """Runs Figure 2 over a :class:`DesignSpace`."""
-
-    def __init__(
-        self,
-        space: DesignSpace,
-        options: Optional[SearchOptions] = None,
-    ):
-        self.space = space
-        self.options = options or SearchOptions()
-        self.graph = DependenceGraph.build(space.nest)
-        self.saturation = analyze_saturation(
-            space.program, space.board.num_memories
-        )
-        self.priority = self._loop_priority()
-        self._point_failures = 0
-
-    # -- the algorithm (Figure 2) ---------------------------------------------
-
-    def run(self) -> SearchResult:
-        """Walk Figure 2 under a ``dse.search`` span recording the
-        walk's shape (iterations, points searched, final selection)."""
-        with current_tracer().span(
-            "dse.search", kernel=self.space.program.name
-        ) as span:
-            result = self._run()
-            span.set_attribute("iterations", len(result.trace))
-            span.set_attribute("points_searched", result.points_searched)
-            span.set_attribute("infeasible", len(result.infeasible))
-            span.set_attribute(
-                "selected", list(result.selected.unroll.factors)
-            )
-            registry = current_registry()
-            registry.histogram(
-                "dse.search_iterations",
-                boundaries=(1, 2, 4, 8, 16, 32, 64),
-            ).observe(len(result.trace))
-            return result
-
-    def _run(self) -> SearchResult:
-        capacity = self.space.board.fpga.capacity_slices
-        u_base = self.space.baseline_vector()
-        u_max = self.space.max_vector()
-        u_init = self.initial_vector()
-
-        u_curr = u_init
-        u_mb = u_max          # best-known memory-bound point
-        u_cb: Optional[UnrollVector] = None  # last compute-bound point that fit
-        trace: List[TraceStep] = []
-        visited: Set[Tuple[int, ...]] = set()
-        ok = False
-        self._point_failures = 0
-
-        for _ in range(self.options.max_iterations):
-            if ok:
-                break
-            evaluation = self._evaluate_point(u_curr)
-            if evaluation is None:
-                # Infeasible point (illegal jam, verifier violation,
-                # estimation failure): record-and-skip, shrinking toward
-                # the last good design like a capacity failure.
-                fallback = u_cb or u_base
-                shrunk = self.select_between(fallback, u_curr)
-                if shrunk == u_curr:
-                    u_curr = fallback
-                    ok = True
-                else:
-                    u_curr = shrunk
-                    if u_curr == u_cb:
-                        ok = True
-                continue
-            visited.add(u_curr.factors)
-            balance = evaluation.balance
-
-            if evaluation.space > capacity:
-                verdict = "exceeds capacity"
-                if u_curr == u_init:
-                    u_curr = self.find_largest_fit(u_base, u_curr)
-                    ok = True
-                else:
-                    u_curr = self.select_between(u_cb or u_base, u_curr)
-            elif self._balanced(balance):
-                verdict = "balanced, done"
-                ok = True
-            elif balance < 1.0:
-                verdict = "memory bound"
-                u_mb = u_curr
-                if u_curr == u_init:
-                    ok = True
-                else:
-                    u_curr = self.select_between(u_cb or u_base, u_mb)
-            else:
-                verdict = "compute bound"
-                u_cb = u_curr
-                if u_mb == u_max:
-                    u_curr = self.increase(u_cb)
-                else:
-                    u_curr = self.select_between(u_cb, u_mb)
-            trace.append(TraceStep(
-                evaluation.unroll, balance, evaluation.cycles,
-                evaluation.space, verdict,
-            ))
-            if u_cb is not None and u_curr == u_cb:
-                ok = True
-            if not ok and u_curr.factors in visited:
-                ok = True  # no new points reachable
-
-        selected = self._final_selection(u_curr, capacity)
-        return SearchResult(
-            selected=selected,
-            trace=trace,
-            saturation=self.saturation,
-            initial=u_init,
-            infeasible=tuple(self.space.infeasible_points()),
-        )
-
-    # -- fail-soft machinery --------------------------------------------------
-
-    def _evaluate_point(
-        self, unroll: UnrollVector
-    ) -> Optional[DesignEvaluation]:
-        """Evaluate one point; ``None`` marks it infeasible.
-
-        Every infeasible point spends one unit of the failure budget;
-        past the budget the nest is hopeless and the search aborts with
-        a typed :class:`~repro.errors.PointFailureBudgetExceeded` whose
-        message still names the underlying failure kinds.  Transient
-        errors propagate untouched — the caller's retry machinery, not
-        this search, owns those.
-        """
-        evaluation = self.space.try_evaluate(unroll)
-        if evaluation is None:
-            self._point_failures += 1
-            budget = self.options.max_point_failures
-            if budget is not None and self._point_failures > budget:
-                raise PointFailureBudgetExceeded(
-                    f"search of {self.space.program.name} exceeded the "
-                    f"point-failure budget ({budget}): "
-                    f"{self._failure_summary()}"
-                )
-        return evaluation
-
-    def _final_selection(
-        self, u_curr: UnrollVector, capacity: int
-    ) -> DesignEvaluation:
-        """The walk's endpoint, or the best feasible point seen.
-
-        No budget accounting here: once the walk is over, a failing
-        endpoint should degrade to the best already-evaluated design,
-        never abort an exploration that has a usable answer.
-        """
-        evaluation = self.space.try_evaluate(u_curr)
-        if evaluation is not None:
-            return evaluation
-        evaluated = self.space.evaluated()
-        fits = [e for e in evaluated if e.space <= capacity]
-        pool = fits or evaluated
-        if pool:
-            return min(pool, key=lambda e: (e.cycles, e.space))
-        raise NoFeasiblePoint(
-            f"no feasible design point for {self.space.program.name}: "
-            f"{self._failure_summary()}"
-        )
-
-    def _failure_summary(self) -> str:
-        """Failure kinds histogram plus the most recent message."""
-        diagnostics = self.space.infeasible_points()
-        if not diagnostics:
-            return "no failures recorded"
-        kinds: Dict[str, int] = {}
-        for diagnostic in diagnostics:
-            kinds[diagnostic.kind] = kinds.get(diagnostic.kind, 0) + 1
-        histogram = ", ".join(
-            f"{kind} x{count}" for kind, count in sorted(kinds.items())
-        )
-        return (
-            f"{len(diagnostics)} point(s) failed ({histogram}); "
-            f"last: {diagnostics[-1].message}"
-        )
-
-    # -- Uinit (Section 5.3) -------------------------------------------------------
-
-    def initial_vector(self) -> UnrollVector:
-        """Pick Uinit from the saturation set.
-
-        Prefer putting the whole product on the highest-priority loop —
-        a dependence-free loop if one exists, else the loop carrying the
-        largest minimum dependence distance.
-        """
-        candidates = list(self.saturation.saturation_set)
-        if not candidates:
-            raise SearchError("empty saturation set; is the nest degenerate?")
-
-        def rank(vector: UnrollVector) -> Tuple:
-            return tuple(-vector[depth] for depth in self.priority)
-
-        return min(candidates, key=rank)
-
-    def _loop_priority(self) -> List[int]:
-        """Depths ordered by unrolling desirability (Section 5.3)."""
-        varying = list(self.saturation.memory_varying_depths)
-        if not varying:
-            varying = list(range(self.space.depth))
-        parallel = [d for d in varying if self.graph.loop_is_parallel(d)]
-        rest = [d for d in varying if d not in parallel]
-
-        def distance_key(depth: int) -> Tuple:
-            distance = self.graph.min_nonzero_distance(depth)
-            return (-(distance or 0), depth)
-
-        rest.sort(key=distance_key)
-        # Non-varying loops last: they add operator parallelism only.
-        others = [d for d in range(self.space.depth)
-                  if d not in varying and d not in self.space.pinned_depths]
-        return parallel + rest + others
-
-    # -- moves ----------------------------------------------------------------------
-
-    def increase(self, current: UnrollVector) -> UnrollVector:
-        """Return U' with P(U') = 2 * P(U), U <= U' <= Umax.
-
-        Doubles the unrollable loop with the smallest current factor
-        (ties broken by priority): the initial point already spent the
-        whole saturation product on the best loop, so growth spreads
-        across the nest, unrolling "all loops in the nest" as Section 5.3
-        describes for sustained compute-bound designs.  Returns
-        ``current`` unchanged when fully unrolled (the paper's
-        no-points-left case).
-        """
-        order = self.priority + [d for d in range(self.space.depth)
-                                 if d not in self.priority]
-        by_laggard = sorted(order, key=lambda depth: (current[depth], order.index(depth)))
-        for depth in by_laggard:
-            candidate = current.with_factor(depth, current[depth] * 2)
-            if self.space.is_valid(candidate):
-                return candidate
-        return current
-
-    def select_between(
-        self, small: UnrollVector, large: UnrollVector
-    ) -> UnrollVector:
-        """Approximate binary search between two products.
-
-        Targets the product ``(P(small) + P(large)) / 2`` rounded to a
-        multiple of Psat, over vectors component-wise between the
-        endpoints; falls back toward ``small`` when no realizable vector
-        hits any intermediate product.
-        """
-        p_small, p_large = small.product, large.product
-        if p_large <= p_small:
-            return small
-        psat = max(self.saturation.psat, 1)
-        midpoint = (p_small + p_large) // 2
-        targets = self._product_targets(midpoint, p_small, p_large, psat)
-        boxed = self._vectors_between(small, large)
-        for target in targets:
-            candidates = [v for v in boxed if v.product == target]
-            if candidates:
-                return min(
-                    candidates,
-                    key=lambda v: tuple(-v[d] for d in self.priority),
-                )
-        return small
-
-    def find_largest_fit(
-        self, base: UnrollVector, limit: UnrollVector
-    ) -> UnrollVector:
-        """Largest design between Ubase and an oversized Uinit that fits
-        on the device, by descending product, regardless of balance."""
-        capacity = self.space.board.fpga.capacity_slices
-        candidates = sorted(
-            self._vectors_between(base, limit),
-            key=lambda v: (-v.product,) + tuple(-v[d] for d in self.priority),
-        )
-        for candidate in candidates:
-            if candidate == limit:
-                continue
-            evaluation = self._evaluate_point(candidate)
-            if evaluation is not None and evaluation.space <= capacity:
-                return candidate
-        return base
-
-    # -- helpers ----------------------------------------------------------------------
-
-    def _balanced(self, balance: float) -> bool:
-        return abs(balance - 1.0) <= self.options.balance_tolerance
-
-    def _product_targets(
-        self, midpoint: int, low: int, high: int, psat: int
-    ) -> List[int]:
-        """Candidate products strictly between the endpoints, nearest the
-        midpoint first, preferring multiples of Psat."""
-        exact = [
-            p for p in range(low + 1, high)
-            if p % psat == 0
-        ]
-        others = [p for p in range(low + 1, high) if p % psat != 0]
-        exact.sort(key=lambda p: abs(p - midpoint))
-        others.sort(key=lambda p: abs(p - midpoint))
-        return exact + others
-
-    def _vectors_between(
-        self, small: UnrollVector, large: UnrollVector
-    ) -> List[UnrollVector]:
-        """All realizable vectors component-wise between the endpoints."""
-        trips = self.space.nest.trip_counts
-        axes: List[List[int]] = []
-        for depth in range(self.space.depth):
-            lo, hi = small[depth], large[depth]
-            axes.append([
-                f for f in range(lo, hi + 1)
-                if trips[depth] % f == 0
-                and (depth not in self.space.pinned_depths or f == 1)
-            ])
-        result: List[UnrollVector] = []
-
-        def extend(position: int, prefix: List[int]) -> None:
-            if position == len(axes):
-                result.append(UnrollVector(tuple(prefix)))
-                return
-            for factor in axes[position]:
-                extend(position + 1, prefix + [factor])
-
-        extend(0, [])
-        return result

@@ -70,7 +70,7 @@ def extract_features(space: DesignSpace) -> SpaceFeatures:
     )
     return SpaceFeatures(
         depth=space.depth,
-        lattice_points=len(list(space.enumerable_points())),
+        lattice_points=len(space.enumerable_points()),
         space_size=space.size(),
         trip_counts=tuple(space.nest.trip_counts),
         parallel_loops=parallel,

@@ -16,9 +16,11 @@ Two size notions appear in the paper:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.dse.failures import POINT_FAILURES, PointDiagnostic, is_point_failure
 from repro.incremental.delta import delta_for
@@ -37,39 +39,31 @@ from repro.transform.unroll import UnrollVector
 class DesignEvaluation:
     """One synthesized design point.
 
-    ``design`` may be *deferred*: a point served from the incremental
-    memo has its estimate without ever compiling, and the compiled form
-    is only materialized if something actually needs it (confirmation
-    re-estimation, differential validation, report printing).  The
-    pipeline is deterministic, so the deferred compile yields exactly
-    the design a from-scratch evaluation would have produced.
+    Holds the point's estimate and a ``compile`` thunk, not the compiled
+    design: a walk or sweep reads only estimates, and keeping every
+    point's program, layout plan and reuse groups alive for the whole
+    run costs memory and garbage-collection time.  ``design`` compiles
+    on first access (confirmation re-estimation, differential
+    validation, report printing) and keeps the result.  The pipeline is
+    deterministic, so the deferred compile yields exactly the design
+    the estimate was made from.
     """
 
-    def __init__(self, unroll: UnrollVector, design: Optional[CompiledDesign],
-                 estimate: Estimate):
+    def __init__(self, unroll: UnrollVector, estimate: Estimate, compile):
         self.unroll = unroll
         self.estimate = estimate
-        self._design = design
-        self._compile = None
-
-    @classmethod
-    def deferred(cls, unroll: UnrollVector, estimate: Estimate,
-                 compile_thunk) -> "DesignEvaluation":
-        evaluation = cls(unroll, None, estimate)
-        evaluation._compile = compile_thunk
-        return evaluation
+        self._compile = compile
+        self._design: Optional[CompiledDesign] = None
 
     @property
     def design(self) -> CompiledDesign:
-        if self._design is None and self._compile is not None:
+        if self._design is None:
             self._design = self._compile()
-            self._compile = None
         return self._design
 
     @property
     def design_materialized(self) -> bool:
-        """True when the compiled form exists (False only for memo-served
-        points nobody has re-compiled yet)."""
+        """True once something has read :attr:`design`."""
         return self._design is not None
 
     @property
@@ -173,38 +167,34 @@ class DesignSpace:
         return self._cache[key]
 
     def _evaluate_point(self, unroll: UnrollVector, span) -> DesignEvaluation:
-        """One point's compile + estimate, via the ambient memo when
-        incremental evaluation is on.
+        """One point's estimate, via the ambient memo when incremental
+        evaluation is on.
 
         A point-memo hit skips the entire pipeline: the stored estimate
         decodes to exactly what recomputation would produce (the key
         covers the source program, factors, board, library, options,
-        and backend), and the compiled design is deferred.  A miss runs
-        from scratch inside a ``begin_point`` scope so region/verify
-        reuse and the structural delta land on the span.
+        and backend).  A miss runs from scratch inside a ``begin_point``
+        scope so region/verify reuse and the structural delta land on
+        the span.  Either way the compiled design is dropped once
+        estimated; :class:`DesignEvaluation` recompiles it on demand.
         """
+        compile = functools.partial(
+            compile_design, self.program, unroll, self.board.num_memories,
+            self.options,
+        )
         memo = current_memo()
         if memo is None:
             span.set_attribute("incremental", "off")
-            design, estimate = self._compute(unroll)
-            return DesignEvaluation(unroll, design, estimate)
+            return DesignEvaluation(unroll, self.estimate(compile()), compile)
         pkey = self._point_key(unroll, self.backend.id)
         with memo.begin_point() as stats:
             entry = memo.point_get(pkey)
             estimate = self._decode_point(memo, entry)
             if estimate is not None:
                 span.set_attribute("incremental", "hit")
-                evaluation = DesignEvaluation.deferred(
-                    unroll, estimate,
-                    lambda: compile_design(
-                        self.program, unroll, self.board.num_memories,
-                        self.options,
-                    ),
-                )
             else:
-                design, estimate = self._compute(unroll)
+                estimate = self.estimate(compile())
                 memo.point_put(pkey, encode_estimate(estimate))
-                evaluation = DesignEvaluation(unroll, design, estimate)
                 span.set_attribute("incremental", "miss")
                 delta = delta_for(memo)
                 for name, value in delta.as_attrs().items():
@@ -213,14 +203,7 @@ class DesignSpace:
                 "incremental.reused_regions", stats.reused_regions
             )
             span.set_attribute("incremental.verify_skips", stats.verify_skips)
-        return evaluation
-
-    def _compute(self, unroll: UnrollVector):
-        """The from-scratch path: full pipeline + backend estimate."""
-        design = compile_design(
-            self.program, unroll, self.board.num_memories, self.options
-        )
-        return design, self.estimate(design)
+        return DesignEvaluation(unroll, estimate, compile)
 
     def estimate(self, design: CompiledDesign, backend=None) -> Estimate:
         """The one backend call: estimate ``design`` on ``backend``
@@ -349,23 +332,28 @@ class DesignSpace:
             total *= max(trip, 1)
         return total
 
-    def enumerable_points(self) -> Iterator[UnrollVector]:
+    def factors(self, depth: int) -> List[int]:
+        """The realizable unroll factors of one loop, ascending: the
+        divisors of its trip count, or just 1 when it is pinned."""
+        if depth in self.pinned_depths:
+            return [1]
+        trip = self.nest.trip_counts[depth]
+        return [f for f in range(1, trip + 1) if trip % f == 0]
+
+    def points_between(
+        self, small: UnrollVector, large: UnrollVector
+    ) -> List[UnrollVector]:
+        """Every realizable point component-wise between two vectors,
+        in lexicographic order."""
+        axes = [
+            [f for f in self.factors(depth) if small[depth] <= f <= large[depth]]
+            for depth in range(self.depth)
+        ]
+        return [UnrollVector(point) for point in itertools.product(*axes)]
+
+    def enumerable_points(self) -> List[UnrollVector]:
         """Every realizable (divisor-constrained) point."""
-        axes: List[List[int]] = []
-        for depth, trip in enumerate(self.nest.trip_counts):
-            if depth in self.pinned_depths:
-                axes.append([1])
-            else:
-                axes.append([d for d in range(1, trip + 1) if trip % d == 0])
-
-        def product(position: int, prefix: List[int]) -> Iterator[UnrollVector]:
-            if position == len(axes):
-                yield UnrollVector(tuple(prefix))
-                return
-            for factor in axes[position]:
-                yield from product(position + 1, prefix + [factor])
-
-        yield from product(0, [])
+        return self.points_between(self.baseline_vector(), self.max_vector())
 
     # -- the oracle --------------------------------------------------------------
 

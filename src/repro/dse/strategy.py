@@ -41,11 +41,11 @@ import inspect
 import random
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type, Union
 
+from repro.analysis.dependence import DependenceGraph
 from repro.dse.failures import POINT_FAILURES, is_point_failure
-from repro.dse.saturation import analyze_saturation
+from repro.dse.saturation import SaturationInfo, analyze_saturation
 from repro.dse.search import (
-    BalanceGuidedSearch, FidelitySwitch, SearchOptions, SearchResult,
-    TraceStep,
+    FidelitySwitch, SearchOptions, SearchResult, TraceStep,
 )
 from repro.dse.space import DesignEvaluation, DesignSpace
 from repro.errors import (
@@ -67,7 +67,7 @@ class SearchStrategy:
     shared machinery:
 
     * :meth:`probe` — evaluate one point fail-soft, charging the
-      ``max_point_failures`` budget exactly like the Figure-2 walk;
+      ``max_point_failures`` budget;
     * :meth:`record` — append a narrative :class:`TraceStep`;
     * :meth:`confirm` — request a mid-walk fidelity switch;
     * :meth:`finish` — assemble the :class:`SearchResult`, degrading a
@@ -134,11 +134,12 @@ class SearchStrategy:
     def probe(self, unroll: UnrollVector) -> Optional[DesignEvaluation]:
         """Evaluate one point; ``None`` marks it infeasible.
 
-        Same budget semantics as the Figure-2 walk: every infeasible
-        point spends one unit of ``max_point_failures``; past the budget
-        the nest is hopeless and the search aborts with a typed
-        :class:`~repro.errors.PointFailureBudgetExceeded`.  Transient
-        errors propagate — retry machinery owns those.
+        Every infeasible point spends one unit of
+        ``max_point_failures``; past the budget the nest is hopeless and
+        the search aborts with a typed
+        :class:`~repro.errors.PointFailureBudgetExceeded` whose message
+        still names the underlying failure kinds.  Transient errors
+        propagate — retry machinery owns those.
         """
         evaluation = self.space.try_evaluate(unroll)
         if evaluation is None:
@@ -210,10 +211,9 @@ class SearchStrategy:
         """Assemble the result; degrade a missing selection fail-soft.
 
         ``selected=None`` (the strategy's walk never landed on a usable
-        endpoint) degrades to the best feasible already-evaluated point,
-        mirroring the Figure-2 final selection; with nothing evaluated
-        at all the nest is hopeless and :class:`NoFeasiblePoint` names
-        the recorded failures.
+        endpoint) degrades to the best feasible already-evaluated point;
+        with nothing evaluated at all the nest is hopeless and
+        :class:`NoFeasiblePoint` names the recorded failures.
         """
         if selected is None:
             capacity = self.space.board.fpga.capacity_slices
@@ -266,15 +266,6 @@ class SearchStrategy:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(id={self.id!r})"
 
-    # -- lattice helpers ------------------------------------------------------
-
-    def _divisors(self, depth: int) -> List[int]:
-        trips = self.space.nest.trip_counts
-        if depth in self.space.pinned_depths:
-            return [1]
-        return [d for d in range(1, trips[depth] + 1)
-                if trips[depth] % d == 0]
-
 
 # -- registry -----------------------------------------------------------------
 
@@ -326,11 +317,23 @@ def get_strategy(
 class BalanceGuidedStrategy(SearchStrategy):
     """The paper's Figure-2 balance-guided bisection (the default).
 
-    Delegates the walk to :class:`BalanceGuidedSearch` (whose standalone
-    API is unchanged) and, under multi-fidelity exploration, requests a
-    fidelity switch on the selection once the balance gradient flattens
-    — the point where the cheap model has stopped changing the verdict
-    and the authoritative number is worth its cost.
+    Starting from a design in the saturation set (memory parallelism
+    already maximal), the walk moves unroll products up and down guided
+    by the balance metric's monotonicity (Observation 3):
+
+    * compute bound (B > 1) and no memory-bound point seen: ``Increase``
+      doubles the unroll product;
+    * memory bound (B < 1): the balanced design lies between the last
+      compute-bound point and this one — ``SelectBetween`` bisects
+      products;
+    * space exceeds capacity: shrink the same way (``FindLargestFit`` if
+      even the initial point is too big);
+    * balanced (within tolerance): done.
+
+    Under multi-fidelity exploration it also requests a fidelity switch
+    on the selection once the balance gradient flattens — the point
+    where the cheap model has stopped changing the verdict and the
+    authoritative number is worth its cost.
     """
 
     id = "balance"
@@ -343,20 +346,189 @@ class BalanceGuidedStrategy(SearchStrategy):
     GRADIENT_EPSILON = 0.02
 
     def _search(self) -> SearchResult:
-        searcher = BalanceGuidedSearch(self.space, self.options)
-        result = searcher._run()
-        self._trace = result.trace
-        self.saturation = result.saturation
+        space = self.space
+        self.priority = loop_priority(space, self.saturation)
+        capacity = space.board.fpga.capacity_slices
+        u_base = space.baseline_vector()
+        u_max = space.max_vector()
+        u_init = initial_vector(self.saturation, self.priority)
+
+        u_curr = u_init
+        u_mb = u_max          # best-known memory-bound point
+        u_cb: Optional[UnrollVector] = None  # last compute-bound point that fit
+        visited: Set[Tuple[int, ...]] = set()
+        ok = False
+
+        for _ in range(self.options.max_iterations):
+            if ok:
+                break
+            evaluation = self.probe(u_curr)
+            if evaluation is None:
+                # Infeasible point (illegal jam, verifier violation,
+                # estimation failure): record-and-skip, shrinking toward
+                # the last good design like a capacity failure.
+                fallback = u_cb or u_base
+                shrunk = self.select_between(fallback, u_curr)
+                if shrunk == u_curr:
+                    u_curr = fallback
+                    ok = True
+                else:
+                    u_curr = shrunk
+                    if u_curr == u_cb:
+                        ok = True
+                continue
+            visited.add(u_curr.factors)
+            balance = evaluation.balance
+
+            if evaluation.space > capacity:
+                verdict = "exceeds capacity"
+                if u_curr == u_init:
+                    u_curr = self.find_largest_fit(u_base, u_curr)
+                    ok = True
+                else:
+                    u_curr = self.select_between(u_cb or u_base, u_curr)
+            elif abs(balance - 1.0) <= self.options.balance_tolerance:
+                verdict = "balanced, done"
+                ok = True
+            elif balance < 1.0:
+                verdict = "memory bound"
+                u_mb = u_curr
+                if u_curr == u_init:
+                    ok = True
+                else:
+                    u_curr = self.select_between(u_cb or u_base, u_mb)
+            else:
+                verdict = "compute bound"
+                u_cb = u_curr
+                if u_mb == u_max:
+                    u_curr = increase(space, u_cb, self.priority)
+                else:
+                    u_curr = self.select_between(u_cb, u_mb)
+            self.record(evaluation, verdict)
+            if u_cb is not None and u_curr == u_cb:
+                ok = True
+            if not ok and u_curr.factors in visited:
+                ok = True  # no new points reachable
+
+        # The endpoint is not charged to the failure budget: once the
+        # walk is over, a failing endpoint degrades to the best
+        # evaluated design rather than aborting a usable exploration.
+        result = self.finish(space.try_evaluate(u_curr), u_init)
         if self._gradient_flat(result.trace):
             self.confirm(result.selected, "balance gradient flattened")
-        result.strategy = self.id
-        result.fidelity_switches = tuple(self._switches)
         return result
+
+    def select_between(
+        self, small: UnrollVector, large: UnrollVector
+    ) -> UnrollVector:
+        """Approximate binary search between two products.
+
+        Targets the product ``(P(small) + P(large)) / 2``, preferring
+        multiples of Psat, over vectors component-wise between the
+        endpoints; falls back toward ``small`` when no realizable vector
+        hits any intermediate product.
+        """
+        p_small, p_large = small.product, large.product
+        if p_large <= p_small:
+            return small
+        psat = max(self.saturation.psat, 1)
+        midpoint = (p_small + p_large) // 2
+        targets = sorted(
+            range(p_small + 1, p_large),
+            key=lambda p: (p % psat != 0, abs(p - midpoint)),
+        )
+        boxed = self.space.points_between(small, large)
+        for target in targets:
+            candidates = [v for v in boxed if v.product == target]
+            if candidates:
+                return min(candidates, key=_by_priority(self.priority))
+        return small
+
+    def find_largest_fit(
+        self, base: UnrollVector, limit: UnrollVector
+    ) -> UnrollVector:
+        """Largest design between Ubase and an oversized Uinit that fits
+        on the device, by descending product, regardless of balance."""
+        capacity = self.space.board.fpga.capacity_slices
+        rank = _by_priority(self.priority)
+        candidates = sorted(
+            self.space.points_between(base, limit),
+            key=lambda v: (-v.product,) + rank(v),
+        )
+        for candidate in candidates:
+            if candidate == limit:
+                continue
+            evaluation = self.probe(candidate)
+            if evaluation is not None and evaluation.space <= capacity:
+                return candidate
+        return base
 
     def _gradient_flat(self, trace: List[TraceStep]) -> bool:
         if self.confirm_backend is None or len(trace) < 2:
             return False
         return abs(trace[-1].balance - trace[-2].balance) < self.GRADIENT_EPSILON
+
+
+# -- Figure-2 moves shared with the baselines ---------------------------------
+
+
+def loop_priority(space: DesignSpace, saturation: SaturationInfo) -> List[int]:
+    """Depths ordered by unrolling desirability (Section 5.3).
+
+    Loops that vary memory accesses come first: dependence-free loops
+    (their unrolled iterations are fully parallel), then the rest by
+    descending minimum nonzero dependence distance.  Other unpinned
+    loops come last; they add operator parallelism only.
+    """
+    graph = DependenceGraph.build(space.nest)
+    varying = list(saturation.memory_varying_depths) or list(range(space.depth))
+    parallel = [d for d in varying if graph.loop_is_parallel(d)]
+    rest = sorted(
+        (d for d in varying if d not in parallel),
+        key=lambda d: (-(graph.min_nonzero_distance(d) or 0), d),
+    )
+    others = [d for d in range(space.depth)
+              if d not in varying and d not in space.pinned_depths]
+    return parallel + rest + others
+
+
+def initial_vector(
+    saturation: SaturationInfo, priority: List[int]
+) -> UnrollVector:
+    """Pick Uinit from the saturation set (Section 5.3).
+
+    Prefer putting the whole product on the highest-priority loop — a
+    dependence-free loop if one exists, else the loop carrying the
+    largest minimum dependence distance.
+    """
+    if not saturation.saturation_set:
+        raise SearchError("empty saturation set; is the nest degenerate?")
+    return min(saturation.saturation_set, key=_by_priority(priority))
+
+
+def _by_priority(priority: List[int]) -> Callable[[UnrollVector], Tuple]:
+    """Sort key ranking larger factors on higher-priority loops first."""
+    return lambda vector: tuple(-vector[depth] for depth in priority)
+
+
+def increase(
+    space: DesignSpace, current: UnrollVector, priority: List[int]
+) -> UnrollVector:
+    """Return U' with P(U') = 2 * P(U), U <= U' <= Umax.
+
+    Doubles the unrollable loop with the smallest current factor (ties
+    broken by priority): the initial point already spent the whole
+    saturation product on the best loop, so growth spreads across the
+    nest, unrolling "all loops in the nest" as Section 5.3 describes for
+    sustained compute-bound designs.  Returns ``current`` unchanged when
+    fully unrolled (the paper's no-points-left case).
+    """
+    order = priority + [d for d in range(space.depth) if d not in priority]
+    for depth in sorted(order, key=lambda d: current[d]):
+        candidate = current.with_factor(depth, current[depth] * 2)
+        if space.is_valid(candidate):
+            return candidate
+    return current
 
 
 # -- re-homed comparison baselines -------------------------------------------
@@ -379,8 +551,8 @@ class LinearScanStrategy(SearchStrategy):
         self.stale_limit = stale_limit
 
     def _search(self) -> SearchResult:
-        searcher = BalanceGuidedSearch(self.space, self.options)
-        current = searcher.initial_vector()
+        priority = loop_priority(self.space, self.saturation)
+        current = initial_vector(self.saturation, priority)
         initial = current
         best: Optional[DesignEvaluation] = None
         evaluation = self.probe(current)
@@ -389,7 +561,7 @@ class LinearScanStrategy(SearchStrategy):
             self.record(evaluation, "initial")
         stale = 0
         while stale < self.stale_limit:
-            grown = searcher.increase(current)
+            grown = increase(self.space, current, priority)
             if grown == current:
                 break
             current = grown
@@ -425,7 +597,7 @@ class RandomStrategy(SearchStrategy):
 
     def _search(self) -> SearchResult:
         rng = random.Random(self.seed)
-        points = list(self.space.enumerable_points())
+        points = self.space.enumerable_points()
         rng.shuffle(points)
         initial = self.space.baseline_vector()
         best: Optional[DesignEvaluation] = None
@@ -465,8 +637,9 @@ class HillClimbStrategy(SearchStrategy):
         self.max_steps = max_steps
 
     def _search(self) -> SearchResult:
-        searcher = BalanceGuidedSearch(self.space, self.options)
-        initial = searcher.initial_vector()
+        initial = initial_vector(
+            self.saturation, loop_priority(self.space, self.saturation)
+        )
         current = self.probe(initial)
         if current is not None:
             self.record(current, "initial")
@@ -493,7 +666,7 @@ class HillClimbStrategy(SearchStrategy):
         for depth in range(self.space.depth):
             if depth in self.space.pinned_depths:
                 continue
-            divisors = self._divisors(depth)
+            divisors = self.space.factors(depth)
             index = divisors.index(vector[depth])
             for step in (-1, 1):
                 if 0 <= index + step < len(divisors):
@@ -568,7 +741,7 @@ class GreedyAscentStrategy(SearchStrategy):
                 break
             improving: List[DesignEvaluation] = []
             for depth in range(self.space.depth):
-                divisors = self._divisors(depth)
+                divisors = self.space.factors(depth)
                 index = divisors.index(current.unroll[depth])
                 if index + 1 >= len(divisors):
                     continue
@@ -619,7 +792,7 @@ class GeneticStrategy(SearchStrategy):
 
     def _search(self) -> SearchResult:
         rng = random.Random(self.seed)
-        axes = [self._divisors(depth) for depth in range(self.space.depth)]
+        axes = [self.space.factors(depth) for depth in range(self.space.depth)]
         initial = self.space.baseline_vector()
         recorded: Set[Tuple[int, ...]] = set()
         best: Optional[DesignEvaluation] = None

@@ -129,10 +129,9 @@ def plan_shards(spec: JobSpec, submission_hash: str,
                 shard_points: int = DEFAULT_SHARD_POINTS) -> ShardPlan:
     """Partition a job's enumerable lattice into contiguous shards.
 
-    Mirrors the explorer's automatic pinning (loops outside the
-    saturation analysis's memory-varying set are pinned to factor 1) so
-    the shard union equals exactly the point set a single-process
-    exhaustive walk would visit.
+    Pins loops exactly as the explorer does
+    (:func:`repro.dse.explorer.auto_pinned_space`), so the shard union
+    equals the point set a single-process exhaustive walk would visit.
 
     The job's search strategy decides the plan's shape: strategies that
     declare themselves partitionable (the default balance walk, the
@@ -144,17 +143,11 @@ def plan_shards(spec: JobSpec, submission_hash: str,
     """
     if shard_points < 1:
         raise ServiceError(f"shard_points must be >= 1, got {shard_points!r}")
-    from repro.dse.saturation import analyze_saturation
-    from repro.dse.space import DesignSpace
+    from repro.dse.explorer import auto_pinned_space
     program, kernel = load_program(spec.program)
     board = resolve_board(spec.board)
     _search, options = build_options(spec, kernel)
-    saturation = analyze_saturation(program, board.num_memories)
-    varying = set(saturation.memory_varying_depths)
-    space = DesignSpace(program, board, options)
-    pins = tuple(d for d in range(space.depth) if d not in varying)
-    if pins:
-        space = DesignSpace(program, board, options, pinned_depths=pins)
+    space = auto_pinned_space(program, board, options)
     points = [point.factors for point in space.enumerable_points()]
 
     from repro.dse.selector import select_strategy
@@ -169,7 +162,8 @@ def plan_shards(spec: JobSpec, submission_hash: str,
         )
         return ShardPlan(
             job_id=spec.id, shards=[shard], total_points=len(points),
-            pinned_depths=pins, design_space_size=space.size(),
+            pinned_depths=space.pinned_depths,
+            design_space_size=space.size(),
             mode="walk",
         )
 
@@ -190,7 +184,7 @@ def plan_shards(spec: JobSpec, submission_hash: str,
         job_id=spec.id,
         shards=shards,
         total_points=len(points),
-        pinned_depths=pins,
+        pinned_depths=space.pinned_depths,
         design_space_size=space.size(),
     )
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -242,7 +241,6 @@ class JobSpec:
         *,
         id: Optional[str] = None,
         config: Optional[JobConfig] = None,
-        **legacy: Any,
     ) -> "JobSpec":
         """Build a validated spec from one :class:`JobConfig`.
 
@@ -250,32 +248,7 @@ class JobSpec:
         :func:`parse_manifest`): it accepts real option dataclasses —
         ``JobConfig(search=SearchOptions(max_iterations=8))`` — and
         normalizes them to the primitives-only form the spec stores.
-
-        The pre-redesign call shape (``board=``, ``search=``, ... as
-        individual keyword arguments) still works but raises
-        :class:`DeprecationWarning`.
         """
-        if legacy:
-            if config is not None:
-                raise TypeError(
-                    "JobSpec.create() takes either config=JobConfig(...) "
-                    "or the deprecated individual options, not both"
-                )
-            allowed = {f.name for f in dataclasses.fields(JobConfig)}
-            unknown = set(legacy) - allowed
-            if unknown:
-                raise TypeError(
-                    f"JobSpec.create() got unexpected keyword arguments "
-                    f"{sorted(unknown)}"
-                )
-            warnings.warn(
-                "passing JobSpec.create() options individually "
-                f"({sorted(legacy)}) is deprecated; pass "
-                "JobSpec.create(program, config=JobConfig(...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = JobConfig(**legacy)
         config = config or JobConfig()
         if config.board not in _BOARDS:
             raise ServiceError(

@@ -164,7 +164,7 @@ class _UnrollContext:
             # The last copy keeps original scalar names so values that are
             # live out of the loop land in the right place.
             renames = {} if k == factor - 1 else {
-                name: self._fresh(f"{name}__u{k}") for name in private
+                name: self._fresh(f"{name}__u{k}") for name in sorted(private)
             }
             copies.append(_make_copy(body, loop.var, k * loop.step, renames))
         jammed = _jam(copies)

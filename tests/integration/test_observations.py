@@ -16,8 +16,9 @@ them.  The tests walk that path explicitly.
 
 import pytest
 
-from repro.dse.search import BalanceGuidedSearch
+from repro.dse.saturation import analyze_saturation
 from repro.dse.space import DesignSpace
+from repro.dse.strategy import increase, initial_vector, loop_priority
 from repro.kernels import FIR, MM, PAT
 from repro.target import wildstar_nonpipelined, wildstar_pipelined
 
@@ -25,10 +26,11 @@ from repro.target import wildstar_nonpipelined, wildstar_pipelined
 def search_path(kernel, board, steps=5):
     """Uinit and its Increase successors, evaluated."""
     space = DesignSpace(kernel.program(), board)
-    searcher = BalanceGuidedSearch(space)
-    vectors = [searcher.initial_vector()]
+    saturation = analyze_saturation(space.program, board.num_memories)
+    priority = loop_priority(space, saturation)
+    vectors = [initial_vector(saturation, priority)]
     for _ in range(steps):
-        grown = searcher.increase(vectors[-1])
+        grown = increase(space, vectors[-1], priority)
         if grown == vectors[-1]:
             break
         vectors.append(grown)

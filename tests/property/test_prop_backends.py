@@ -10,8 +10,9 @@ agreement the differential validator reports.
 
 import pytest
 
-from repro.dse.search import BalanceGuidedSearch
+from repro.dse.saturation import analyze_saturation
 from repro.dse.space import DesignSpace
+from repro.dse.strategy import increase, initial_vector, loop_priority
 from repro.estimate import backend_ids, get_backend, validate_run
 from repro.kernels import ALL_KERNELS
 from repro.target import wildstar_pipelined
@@ -33,10 +34,11 @@ def walk(kernel, board, backend, steps=5):
     """The space and Uinit plus its Increase successors, evaluated on
     ``backend``."""
     space = DesignSpace(kernel.program(), board, backend=backend)
-    searcher = BalanceGuidedSearch(space)
-    vectors = [searcher.initial_vector()]
+    saturation = analyze_saturation(space.program, board.num_memories)
+    priority = loop_priority(space, saturation)
+    vectors = [initial_vector(saturation, priority)]
     for _ in range(steps):
-        grown = searcher.increase(vectors[-1])
+        grown = increase(space, vectors[-1], priority)
         if grown == vectors[-1]:
             break
         vectors.append(grown)

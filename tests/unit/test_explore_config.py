@@ -1,8 +1,8 @@
 """The single-config call shapes of ``explore()`` and ``JobSpec.create()``.
 
-Both take one keyword-only ``config=`` object.  ``explore()``'s
-pre-redesign individual-keyword and positional shapes are gone and
-raise ``TypeError``; ``JobSpec.create()``'s still work but warn.
+Both take one keyword-only ``config=`` object.  The pre-redesign
+individual-keyword shapes (and ``explore()``'s positional one) are gone
+and raise ``TypeError``.
 """
 
 import warnings
@@ -91,15 +91,13 @@ class TestJobSpecCreate:
         )
         assert dict(spec.search)["max_iterations"] == 8
 
-    def test_legacy_keywords_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="JobConfig"):
-            spec = JobSpec.create("kernel:fir", board="nonpipelined",
-                                  timeout_s=5.0)
-        assert spec.board == "nonpipelined"
-        assert spec.timeout_s == 5.0
+    def test_legacy_keywords_are_a_type_error(self):
+        with pytest.raises(TypeError, match="board"):
+            JobSpec.create("kernel:fir", board="nonpipelined",
+                           timeout_s=5.0)
 
     def test_config_plus_legacy_is_an_error(self):
-        with pytest.raises(TypeError, match="not both"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             JobSpec.create("kernel:fir", board="pipelined",
                            config=JobConfig())
 

@@ -3,7 +3,11 @@
 import pytest
 
 import repro.dse.space as space_module
-from repro.dse import BalanceGuidedSearch, DesignSpace, SearchOptions, explore
+from repro.dse import (
+    BalanceGuidedStrategy, DesignSpace, SearchOptions, analyze_saturation,
+    explore,
+)
+from repro.dse.strategy import initial_vector, loop_priority
 from repro.errors import (
     NoFeasiblePoint, PointFailureBudgetExceeded, TransformError,
 )
@@ -62,10 +66,10 @@ class TestPointDegradation:
         self, fir_program, pipelined_board, poison
     ):
         clean_space = DesignSpace(fir_program, pipelined_board)
-        clean = BalanceGuidedSearch(clean_space).run()
+        clean = BalanceGuidedStrategy().run(clean_space)
         poison(tuple(clean.initial))
         space = DesignSpace(fir_program, pipelined_board)
-        result = BalanceGuidedSearch(space).run()
+        result = BalanceGuidedStrategy().run(space)
         assert result.selected is not None
         assert result.infeasible
         assert result.infeasible[0].unroll == tuple(clean.initial)
@@ -74,8 +78,12 @@ class TestPointDegradation:
         self, fir_program, pipelined_board, poison
     ):
         probe = DesignSpace(fir_program, pipelined_board)
-        searcher = BalanceGuidedSearch(probe)
-        poison(tuple(searcher.initial_vector()))
+        saturation = analyze_saturation(
+            fir_program, pipelined_board.num_memories
+        )
+        poison(tuple(initial_vector(
+            saturation, loop_priority(probe, saturation)
+        )))
         result = explore(fir_program, pipelined_board)
         assert result.infeasible
         assert "infeasible points" in result.report()
@@ -87,11 +95,9 @@ class TestTerminalStates:
     ):
         poison(all=True)
         space = DesignSpace(fir_program, pipelined_board)
-        searcher = BalanceGuidedSearch(
-            space, SearchOptions(max_point_failures=1)
-        )
+        options = SearchOptions(max_point_failures=1)
         with pytest.raises(PointFailureBudgetExceeded) as excinfo:
-            searcher.run()
+            BalanceGuidedStrategy().run(space, options)
         assert excinfo.value.kind == "failure_budget"
         assert "transform" in str(excinfo.value)
 
@@ -100,11 +106,9 @@ class TestTerminalStates:
     ):
         poison(all=True)
         space = DesignSpace(fir_program, pipelined_board)
-        searcher = BalanceGuidedSearch(
-            space, SearchOptions(max_point_failures=None)
-        )
+        options = SearchOptions(max_point_failures=None)
         with pytest.raises(NoFeasiblePoint) as excinfo:
-            searcher.run()
+            BalanceGuidedStrategy().run(space, options)
         assert excinfo.value.kind == "no_feasible_point"
         assert "poisoned point" in str(excinfo.value)
 
@@ -114,8 +118,6 @@ class TestTerminalStates:
         """A search whose walk succeeded never aborts at selection time,
         even if the budget is nearly spent."""
         space = DesignSpace(fir_program, pipelined_board)
-        searcher = BalanceGuidedSearch(
-            space, SearchOptions(max_point_failures=1)
-        )
-        result = searcher.run()
+        options = SearchOptions(max_point_failures=1)
+        result = BalanceGuidedStrategy().run(space, options)
         assert result.selected is not None

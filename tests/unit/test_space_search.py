@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.dse.search import BalanceGuidedSearch, SearchOptions
+from repro.dse.saturation import analyze_saturation
+from repro.dse.search import SearchOptions
 from repro.dse.space import DesignSpace
+from repro.dse.strategy import (
+    BalanceGuidedStrategy, increase, initial_vector, loop_priority,
+)
 from repro.frontend import compile_source
 from repro.target import Board, virtex_300, wildstar_nonpipelined, wildstar_pipelined
 from repro.target.memory import pipelined_memory
@@ -48,40 +52,57 @@ class TestDesignSpace:
 
 class TestSearchMoves:
     @pytest.fixture
-    def searcher(self, fir_program, pipelined_board):
-        return BalanceGuidedSearch(DesignSpace(fir_program, pipelined_board))
+    def space(self, fir_program, pipelined_board):
+        return DesignSpace(fir_program, pipelined_board)
 
-    def test_initial_vector_prefers_parallel_loop(self, searcher):
+    @pytest.fixture
+    def saturation(self, space):
+        return analyze_saturation(space.program, space.board.num_memories)
+
+    @pytest.fixture
+    def priority(self, space, saturation):
+        return loop_priority(space, saturation)
+
+    @pytest.fixture
+    def walk(self, space, saturation, priority):
+        """A balance walk positioned on FIR, ready to bisect."""
+        strategy = BalanceGuidedStrategy()
+        strategy.space = space
+        strategy.saturation = saturation
+        strategy.priority = priority
+        return strategy
+
+    def test_initial_vector_prefers_parallel_loop(self, saturation, priority):
         """FIR's j loop carries no dependence: Uinit = Sat_j = (4, 1)."""
-        assert searcher.initial_vector() == UnrollVector.of(4, 1)
+        assert initial_vector(saturation, priority) == UnrollVector.of(4, 1)
 
-    def test_increase_doubles_product(self, searcher):
+    def test_increase_doubles_product(self, space, priority):
         current = UnrollVector.of(4, 1)
-        bigger = searcher.increase(current)
+        bigger = increase(space, current, priority)
         assert bigger.product == 8
         assert bigger.dominates(current)
 
-    def test_increase_spreads_to_lagging_loop(self, searcher):
-        grown = searcher.increase(UnrollVector.of(4, 1))
+    def test_increase_spreads_to_lagging_loop(self, space, priority):
+        grown = increase(space, UnrollVector.of(4, 1), priority)
         assert grown == UnrollVector.of(4, 2)
 
-    def test_increase_saturates_at_umax(self, searcher):
+    def test_increase_saturates_at_umax(self, space, priority):
         full = UnrollVector.of(64, 32)
-        assert searcher.increase(full) == full
+        assert increase(space, full, priority) == full
 
-    def test_select_between_bisects_products(self, searcher):
-        chosen = searcher.select_between(UnrollVector.of(4, 1), UnrollVector.of(16, 1))
+    def test_select_between_bisects_products(self, walk):
+        chosen = walk.select_between(UnrollVector.of(4, 1), UnrollVector.of(16, 1))
         assert 4 < chosen.product < 16
         assert chosen.product % 4 == 0
 
-    def test_select_between_falls_back_to_small(self, searcher):
+    def test_select_between_falls_back_to_small(self, walk):
         small = UnrollVector.of(4, 1)
-        chosen = searcher.select_between(small, UnrollVector.of(8, 1))
+        chosen = walk.select_between(small, UnrollVector.of(8, 1))
         assert chosen == small  # no product strictly between 4 and 8 fits the box
 
-    def test_select_between_component_bounds(self, searcher):
+    def test_select_between_component_bounds(self, walk):
         small, large = UnrollVector.of(2, 2), UnrollVector.of(8, 8)
-        chosen = searcher.select_between(small, large)
+        chosen = walk.select_between(small, large)
         assert chosen.dominates(small)
         assert large.dominates(chosen)
 
@@ -90,20 +111,20 @@ class TestSearchRuns:
     def test_fir_nonpipelined_stops_at_saturation(self, fir_program):
         """Memory bound at Uinit: the paper's FIR non-pipelined case."""
         space = DesignSpace(fir_program, wildstar_nonpipelined())
-        result = BalanceGuidedSearch(space).run()
+        result = BalanceGuidedStrategy().run(space)
         assert result.selected.unroll == result.initial
         assert result.trace[0].verdict == "memory bound"
 
     def test_fir_pipelined_explores_upward(self, fir_program):
         space = DesignSpace(fir_program, wildstar_pipelined())
-        result = BalanceGuidedSearch(space).run()
+        result = BalanceGuidedStrategy().run(space)
         assert result.selected.unroll.product > 4
         assert any(step.verdict == "compute bound" for step in result.trace)
 
     def test_selected_design_fits(self, fir_program):
         board = wildstar_pipelined()
         space = DesignSpace(fir_program, board)
-        result = BalanceGuidedSearch(space).run()
+        result = BalanceGuidedStrategy().run(space)
         assert result.selected.estimate.fits(board)
 
     def test_small_device_triggers_capacity_path(self, fir_program):
@@ -112,17 +133,17 @@ class TestSearchRuns:
             num_memories=4, clock_ns=40.0,
         )
         space = DesignSpace(fir_program, board)
-        result = BalanceGuidedSearch(space).run()
+        result = BalanceGuidedStrategy().run(space)
         assert result.selected.estimate.fits(board)
 
     def test_points_searched_tiny_fraction(self, fir_program):
         space = DesignSpace(fir_program, wildstar_pipelined())
-        BalanceGuidedSearch(space).run()
+        BalanceGuidedStrategy().run(space)
         assert space.points_evaluated <= 10  # out of 2048 possible
 
     def test_trace_is_coherent(self, fir_program):
         space = DesignSpace(fir_program, wildstar_pipelined())
-        result = BalanceGuidedSearch(space).run()
+        result = BalanceGuidedStrategy().run(space)
         for step in result.trace:
             assert step.cycles > 0 and step.space > 0
             assert step.verdict in (
@@ -133,5 +154,5 @@ class TestSearchRuns:
     def test_max_iterations_respected(self, fir_program):
         space = DesignSpace(fir_program, wildstar_pipelined())
         options = SearchOptions(max_iterations=1)
-        result = BalanceGuidedSearch(space, options).run()
+        result = BalanceGuidedStrategy().run(space, options)
         assert len(result.trace) <= 1

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.dse import (
-    DesignSpace, SearchOptions, SearchResult, get_strategy, strategy_ids,
+    DesignSpace, SearchOptions, SearchResult, analyze_saturation,
+    get_strategy, strategy_ids,
 )
 from repro.dse.strategy import (
     GeneticStrategy, HillClimbStrategy, LinearScanStrategy, RandomStrategy,
+    initial_vector, loop_priority,
 )
 from repro.errors import SearchError
 from repro.kernels import FIR
@@ -86,9 +88,11 @@ class TestStrategies:
 
     def test_hill_climb_monotone_improvement(self, space):
         result = HillClimbStrategy().run(space)
+        saturation = analyze_saturation(
+            space.program, space.board.num_memories
+        )
         start = space.evaluate(
-            __import__("repro.dse.search", fromlist=["BalanceGuidedSearch"])
-            .BalanceGuidedSearch(space).initial_vector()
+            initial_vector(saturation, loop_priority(space, saturation))
         )
         assert result.selected.cycles <= start.cycles
         assert result.selected.estimate.fits(space.board)
@@ -185,20 +189,18 @@ class TestFidelitySwitching:
 
 
 class TestDeprecatedShims:
-    def test_old_names_warn_and_return_search_result(self):
-        from repro.dse import strategies as legacy
-        board = wildstar_pipelined()
-        with pytest.warns(DeprecationWarning, match="points_searched"):
-            shim = legacy.RandomStrategy(samples=4, seed=1)
-        result = shim.run(DesignSpace(FIR.program(), board))
-        assert isinstance(result, SearchResult)
+    """The deprecated pre-protocol shims are retired, one release after
+    their deprecation."""
+
+    def test_legacy_strategies_module_is_gone(self):
+        """The pre-protocol ``repro.dse.strategies`` shims were removed;
+        ``repro.dse.get_strategy(id)`` replaces every class they held."""
+        with pytest.raises(ModuleNotFoundError):
+            import repro.dse.strategies  # noqa: F401
 
     def test_strategy_result_type_is_gone(self):
-        from repro.dse import strategies as legacy
-        assert not hasattr(legacy, "StrategyResult")
-
-    def test_every_legacy_class_warns(self):
-        from repro.dse import strategies as legacy
-        for cls in legacy.ALL_STRATEGIES:
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                cls()
+        """Every strategy returns the one ``SearchResult``."""
+        import repro.dse
+        import repro.dse.strategy
+        assert not hasattr(repro.dse, "StrategyResult")
+        assert not hasattr(repro.dse.strategy, "StrategyResult")

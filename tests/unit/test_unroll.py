@@ -1,5 +1,10 @@
 """Unit tests for unroll-and-jam."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import TransformError
@@ -138,3 +143,27 @@ class TestSemantics:
         unrolled = unroll_and_jam(program, UnrollVector.of(4))
         assert run_program(unrolled, inputs).arrays["B"].cells == expected
         assert not any(d.name.startswith("t__u") for d in unrolled.decls)
+
+    def test_private_names_do_not_depend_on_the_hash_seed(self):
+        """Two privatized scalars get their per-copy names in a fixed
+        order, so the printed IR (and every memo key hashed from it) is
+        the same in every process."""
+        script = (
+            "import random\n"
+            "from repro.fuzz import generate_program\n"
+            "from repro.ir import print_program\n"
+            "from repro.transform import UnrollVector, compile_design\n"
+            "program = generate_program(random.Random('dig:107'))\n"
+            "design = compile_design(program, UnrollVector.of(2, 4), 4)\n"
+            "print(print_program(design.program))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        printed = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            printed.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert len(printed) == 1
+        assert "__u0" in printed.pop()
