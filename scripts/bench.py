@@ -1,222 +1,97 @@
 #!/usr/bin/env python
-"""Benchmark the estimation backends, the Figure-2 walk, the search
-strategies, incremental evaluation, and the durable journal —
-BENCH_10.json.
+"""Write one bench document, ``BENCH_<n>.json``, from ``bench/run.py``.
 
-Five timing surfaces, per kernel, on the pipelined board:
+Times the one path the benchmark's workloads do not, append, replay,
+fsck and compaction of a synthetic 10k-event durable journal, then runs
+the four workloads untraced (``--trace 0``: the end-to-end metrics that
+``BENCHMARK.json`` bounds) and traced (``--trace 1``: the per-layer
+metrics, each workload's ``host.calibration_per_s`` among them).  The
+journal goes first: right after minutes of workload processes, its
+first replays in a process read about 40% slower than a second round
+a few seconds later.  ``bench/run.py``
+exits 0 even when a run is incorrect, so the driver exits 1, printing
+the tail of the run's output, unless its last line says
+``"correct": true`` and ``"failed": 0``.  From the repository root::
 
-* **walk** — one full balance-guided exploration (``repro.dse.explore``),
-  the paper's headline "seconds, not hours" loop;
-* **point** — a single cold ``dse.point`` evaluation (compile + synthesize
-  at the no-unrolling baseline), the unit the walk repeats;
-* **estimate** — one bare estimator call per registered backend on the
-  same compiled design, isolating model cost from compilation cost;
-* **strategies** (PR 9) — one full walk per registered search strategy
-  on the explorer's pinned space, so the pluggable algorithms can be
-  compared on wall time, probes spent, and selected-design quality;
-* **incremental** (PR 10) — the same full walk three ways:
-  ``--no-incremental`` (from scratch), incremental with a cold memo
-  journal, and incremental warm (re-walking over the journal the cold
-  run persisted).  The warm/off ratio is the acceptance's cross-run
-  speedup; the section also asserts the selections are bit-identical.
+    python3 scripts/bench.py --output BENCH_<n>.json          # about 3 min
+    python3 scripts/bench.py --seconds 1 --output bench-ci.json
 
-Plus one **journal** section (PR 8) over a synthetic 10k-event durable
-journal: fsync'd checksummed append throughput, full checksum-verified
-replay (``scan_journal``), fsck inspection, and snapshot compaction —
-the costs a server restart and a ``repro fsck`` run actually pay.
-
-Each number is best-of-N wall seconds (N=--repeats, 1 for the interp
-backend — it is deliberately slow and its variance is relatively tiny).
-``--runs M`` additionally repeats the *whole suite* M times and keeps
-the per-path minimum: back-to-back repeats all sit inside the same
-load spike, full-suite passes minutes apart do not, so min-of-M runs
-is what makes sub-second timings comparable across checked-in
-documents.  The checked-in ``BENCH_10.json`` at the repo root records
-min-of-3 runs; regenerate with::
-
-    PYTHONPATH=src python scripts/bench.py --runs 3 --output BENCH_10.json
-
-``scripts/bench_compare.py`` diffs the fresh document against the
-previous checked-in ``BENCH_*.json`` and fails on hot-path regressions.
-
-Timings are machine-relative: compare ratios (backend vs backend, walk
-vs point, replay vs append), not absolute milliseconds, across
-environments.
+The document records the seed, the seconds, the ``src_sha256`` of the
+tree it measured, ``end_to_end``/``per_layer`` values by
+``<workload>/<metric>`` name, and ``journal``; ``bench_compare.py``
+gates it against the previous one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from bench_compare import ROOT, src_sha256
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+#: The workload seed of every document.
+SEED = 1
+BENCH_RUN = ROOT / "bench" / "run.py"
+#: Records in the synthetic journal.
+JOURNAL_EVENTS = 10_000
+#: Best-of-N for the journal's read passes (replay and fsck): as many
+#: passes as the documents before schema 2 took their best from.
+JOURNAL_REPEATS = 9
+#: Output lines shown when a run is not correct.
+TAIL_LINES = 40
 
 
-def best_of(fn, repeats: int):
-    """(best wall seconds, last result) over ``repeats`` calls."""
-    best = None
-    result = None
-    for _ in range(max(1, repeats)):
+def run_bench(seconds: float, trace: int):
+    """Metric values by name from one ``bench/run.py`` run over every
+    workload, or ``None`` when the run was not correct."""
+    command = [sys.executable, str(BENCH_RUN), "--seed", str(SEED),
+               "--seconds", str(seconds), "--trace", str(trace)]
+    print(f"running bench/run.py --seed {SEED} --seconds {seconds}"
+          f" --trace {trace} ...", flush=True)
+    proc = subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE,
+                          text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = {}
+    if (proc.returncode != 0 or result.get("correct") is not True
+            or result.get("failed") != 0):
+        print("\n".join(lines[-TAIL_LINES:]))
+        print(f"bench/run.py --trace {trace} exited {proc.returncode}"
+              f" without a correct run", file=sys.stderr)
+        return None
+    print(f"  {result['attempted']} ops, 0 failed, "
+          f"{len(result['metrics'])} metrics")
+    return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def best_of(fn, repeats: int = 1):
+    """(fastest wall seconds, last result) over ``repeats`` calls."""
+    times = []
+    for _ in range(repeats):
         start = time.perf_counter()
         result = fn()
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
+        times.append(time.perf_counter() - start)
+    return min(times), result
 
 
-def bench_kernel(kernel, board, repeats: int) -> dict:
-    from repro.dse import explore
-    from repro.dse.space import DesignSpace
-    from repro.estimate import backend_ids, get_backend
-    from repro.ir import LoopNest
-    from repro.transform import UnrollVector, compile_design
-
-    program = kernel.program()
-
-    # Full Figure-2 walk: fresh program each repeat so the DesignSpace
-    # memoization inside explore() never carries over between runs.
-    # Incremental evaluation is pinned off so ``walk.seconds`` measures
-    # the same computation in every checked-in document — the memo
-    # layer's own costs (off / cold / warm) are recorded and gated
-    # separately under ``incremental``.
-    from repro.dse import ExploreConfig
-
-    walk_s, result = best_of(
-        lambda: explore(kernel.program(), board,
-                        config=ExploreConfig(incremental=False)),
-        repeats,
-    )
-    walk = {
-        "seconds": round(walk_s, 6),
-        "points_searched": result.points_searched,
-        "design_space_size": result.design_space_size,
-        "selected_unroll": list(result.selected.unroll),
-        "speedup": round(result.speedup, 3),
-    }
-
-    # One cold dse.point at the baseline (fresh space each repeat).
-    baseline = UnrollVector.ones(LoopNest(program).depth)
-
-    def one_point():
-        return DesignSpace(kernel.program(), board).evaluate(baseline)
-
-    point_s, _ = best_of(one_point, repeats)
-
-    # Bare estimator calls on one pre-compiled design: model cost only.
-    design = compile_design(program, baseline, board.num_memories)
-    estimate = {}
-    for backend_id in backend_ids():
-        backend = get_backend(backend_id)
-        backend_repeats = 1 if backend_id == "interp" else repeats
-        call_s, est = best_of(
-            lambda: backend.estimate(design.program, board, design.plan),
-            backend_repeats,
-        )
-        estimate[backend_id] = {
-            "seconds": round(call_s, 6),
-            "cycles": est.cycles,
-            "fidelity": backend.fidelity,
-        }
-
-    # One full walk per registered strategy, on the same pinned space
-    # the explorer would build (fresh each repeat — no memoized probes).
-    from repro.dse import get_strategy, strategy_ids
-    from repro.dse.saturation import analyze_saturation
-
-    def pinned_space():
-        fresh = kernel.program()
-        saturation = analyze_saturation(fresh, board.num_memories)
-        varying = set(saturation.memory_varying_depths)
-        space = DesignSpace(fresh, board)
-        pins = tuple(d for d in range(space.depth) if d not in varying)
-        if pins:
-            space = DesignSpace(fresh, board, pinned_depths=pins)
-        return space
-
-    strategies = {}
-    for strategy_id in strategy_ids():
-        strategy_s, found = best_of(
-            lambda: get_strategy(strategy_id).run(pinned_space()), repeats
-        )
-        strategies[strategy_id] = {
-            "seconds": round(strategy_s, 6),
-            "points_searched": found.points_searched,
-            "cycles": found.selected.cycles,
-            "selected_unroll": list(found.selected.unroll),
-        }
-
-    return {
-        "walk": walk,
-        "point_eval_seconds": round(point_s, 6),
-        "estimate": estimate,
-        "strategies": strategies,
-        "incremental": bench_incremental(kernel, board, repeats),
-    }
-
-
-def bench_incremental(kernel, board, repeats: int) -> dict:
-    """Full walks with incremental evaluation off / cold / warm.
-
-    The warm walk re-runs over the memo journal the cold walk flushed —
-    the cross-run reuse path a restarted batch or a fleet worker takes.
-    Selections must be bit-identical across all three modes (the
-    equivalence contract); the interesting number is ``speedup_warm``.
-    """
-    import tempfile
-
-    from repro.dse import ExploreConfig, explore
-
-    def walk_once(incremental, memo_dir=None):
-        return explore(kernel.program(), board, config=ExploreConfig(
-            incremental=incremental, memo_dir=memo_dir,
-        ))
-
-    off_s, off = best_of(lambda: walk_once(False), repeats)
-
-    with tempfile.TemporaryDirectory(prefix="bench-memo-") as name:
-        memo_dir = Path(name)
-        # Cold: journal starts empty, the walk both computes and
-        # persists.  Timed once — a second "cold" run would be warm.
-        cold_s, cold = best_of(lambda: walk_once(True, memo_dir), 1)
-        warm_s, warm = best_of(lambda: walk_once(True, memo_dir), repeats)
-
-    selections = {
-        tuple(result.selected.unroll) for result in (off, cold, warm)
-    }
-    assert len(selections) == 1, (
-        f"incremental changed the selection: {selections}"
-    )
-    lookups = warm.memo_stats["hits"] + warm.memo_stats["misses"]
-    return {
-        "off_seconds": round(off_s, 6),
-        "cold_seconds": round(cold_s, 6),
-        "warm_seconds": round(warm_s, 6),
-        "speedup_warm": round(off_s / warm_s, 2) if warm_s else None,
-        "warm_memo_hits": warm.memo_stats["hits"],
-        "warm_hit_rate": round(warm.memo_stats["hits"] / lookups, 3)
-        if lookups else 0.0,
-        "selected_unroll": list(warm.selected.unroll),
-    }
-
-
-def bench_journal(events: int, repeats: int) -> dict:
-    """Durable-journal costs on a synthetic ``events``-record journal.
-
-    Append is timed once (it *writes* — best-of-N would just measure
-    the page cache warming up); replay, fsck, and compaction are
-    read-or-rewrite passes over the same on-disk journal and take the
-    usual best-of-N.
-    """
-    import tempfile
-
+def bench_journal() -> dict:
+    """Durable-journal costs on a synthetic journal.  Append and
+    compaction write, so they are timed once (best-of-N would measure
+    the page cache warming up); replay and fsck are read passes."""
+    sys.path.insert(0, str(ROOT / "src"))
     from repro.durable.fsck import inspect_journal
     from repro.durable.journal import DurableJournal, scan_journal
 
+    events = JOURNAL_EVENTS
+    print(f"benchmarking journal ({events} events) ...", flush=True)
     with tempfile.TemporaryDirectory(prefix="bench-journal-") as name:
         directory = Path(name)
         journal = DurableJournal(directory, "jobs",
@@ -231,46 +106,25 @@ def bench_journal(events: int, repeats: int) -> dict:
                     "ts": float(index),
                 })
 
-        append_s, _ = best_of(append_all, 1)
+        append_s, _ = best_of(append_all)
         segments = journal.closed_segment_count() + 1
 
         replay_s, scan = best_of(
-            lambda: scan_journal(directory, "jobs"), repeats
+            lambda: scan_journal(directory, "jobs"), JOURNAL_REPEATS
         )
         assert scan.total_records == events and not scan.corrupt
 
         fsck_s, report = best_of(
-            lambda: inspect_journal(directory, "jobs"), repeats
+            lambda: inspect_journal(directory, "jobs"), JOURNAL_REPEATS
         )
         assert report.clean
 
-        compact_s, _ = best_of(
-            lambda: journal.compact({"events": events}), 1
-        )
+        compact_s, _ = best_of(lambda: journal.compact({"events": events}))
         journal.close()
 
-    # A frozen stdlib-only loop shaped like replay's inner work (JSON
-    # decode + CRC per line).  Its code never changes across PRs, so
-    # the ratio between two documents' calibration rates measures the
-    # *machines*, and bench_compare can normalize the journal paths by
-    # it instead of mistaking a slower box for a slower journal.
-    import zlib
-
-    line = json.dumps(
-        {"event": "job_started", "schema_version": 1,
-         "job_id": "job-000000", "attempt": 1, "ts": 0.0,
-         "crc32": 1234567890},
-        sort_keys=True,
-    )
-    payload = line.encode("utf-8")
-
-    def calibrate():
-        for _ in range(10_000):
-            json.loads(line)
-            zlib.crc32(payload)
-
-    calibration_s, _ = best_of(calibrate, max(3, repeats))
-
+    print(f"  append {events / append_s:.0f}/s,"
+          f" replay {events / replay_s:.0f}/s,"
+          f" fsck {fsck_s:.3f}s, compact {compact_s:.3f}s")
     return {
         "events": events,
         "segments": segments,
@@ -280,152 +134,37 @@ def bench_journal(events: int, repeats: int) -> dict:
         "replays_per_second": round(events / replay_s, 1),
         "fsck_inspect_seconds": round(fsck_s, 6),
         "compact_seconds": round(compact_s, 6),
-        "calibration_per_second": round(10_000 / calibration_s, 1),
     }
-
-
-def _fold_documents(documents):
-    """Per-path min over whole-suite runs (see module docstring).
-
-    Timing fields keep their per-run values in a ``<field>_runs``
-    sibling: the spread across runs is the path's *measured* noise on
-    this machine, and ``bench_compare.py`` widens its regression
-    allowance by it — a path whose timings scatter 40% run-to-run
-    cannot honestly be gated at 20%.
-    """
-    def fold(key, values):
-        first = values[0]
-        if isinstance(first, dict):
-            out = {}
-            for k in first:
-                runs = [v[k] for v in values]
-                timing = (isinstance(first[k], float)
-                          and k.endswith("seconds"))
-                rate = k.endswith("per_second")
-                if timing or rate:
-                    out[k] = min(runs) if timing else max(runs)
-                    if len(runs) > 1:
-                        out[k + "_runs"] = runs
-                else:
-                    out[k] = fold(k, runs)
-            return out
-        return first
-
-    merged = fold("", list(documents))
-    for entry in merged.get("kernels", {}).values():
-        inc = entry.get("incremental")
-        if inc and inc.get("warm_seconds"):
-            inc["speedup_warm"] = round(
-                inc["off_seconds"] / inc["warm_seconds"], 2
-            )
-    return merged
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--output", required=True,
+                        help="where to write the JSON document")
     parser.add_argument(
-        "--output", default="BENCH_10.json",
-        help="where to write the JSON document (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3,
-        help="best-of-N repeats per timing (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--runs", type=int, default=1,
-        help="full-suite passes folded by per-path minimum "
-             "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--kernels", default=None,
-        help="comma-separated kernel names (default: all five paper kernels)",
-    )
-    parser.add_argument(
-        "--journal-events", type=int, default=10_000,
-        help="synthetic journal size for the durability timings "
-             "(default: %(default)s; 0 skips the journal section)",
+        "--seconds", type=float, default=25.0,
+        help="measuring time per workload and run (default: %(default)s)",
     )
     args = parser.parse_args(argv)
 
-    from repro.estimate import backend_ids
-    from repro.kernels import ALL_KERNELS, kernel_by_name
-    from repro.target import wildstar_pipelined
-
-    if args.kernels:
-        kernels = [kernel_by_name(name) for name in args.kernels.split(",")]
-    else:
-        kernels = list(ALL_KERNELS)
-    board = wildstar_pipelined()
-
-    documents = []
-    for run in range(max(1, args.runs)):
-        if args.runs > 1:
-            print(f"=== suite pass {run + 1}/{args.runs} ===", flush=True)
-        documents.append(run_suite(kernels, board, args, backend_ids()))
-    document = _fold_documents(documents)
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        "generated_by": "scripts/bench.py",
+        "seed": SEED,
+        "seconds": args.seconds,
+        "src_sha256": src_sha256(),
+        "journal": bench_journal(),
+    }
+    for section, trace in (("end_to_end", 0), ("per_layer", 1)):
+        metrics = run_bench(args.seconds, trace)
+        if metrics is None:
+            return 1
+        document[section] = metrics
 
     output = Path(args.output)
     output.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(f"wrote {output}")
     return 0
-
-
-def run_suite(kernels, board, args, backends) -> dict:
-    document = {
-        "schema_version": SCHEMA_VERSION,
-        "generated_by": "scripts/bench.py",
-        "board": board.name,
-        "repeats": args.repeats,
-        "runs": max(1, args.runs),
-        "backends": list(backends),
-        "kernels": {},
-    }
-    for kernel in kernels:
-        print(f"benchmarking {kernel.name} ...", flush=True)
-        document["kernels"][kernel.name] = bench_kernel(
-            kernel, board, args.repeats
-        )
-        entry = document["kernels"][kernel.name]
-        per_backend = ", ".join(
-            f"{name}={timing['seconds'] * 1000:.2f}ms"
-            for name, timing in entry["estimate"].items()
-        )
-        print(
-            f"  walk {entry['walk']['seconds']:.3f}s"
-            f" ({entry['walk']['points_searched']} points),"
-            f" point {entry['point_eval_seconds'] * 1000:.2f}ms,"
-            f" estimate {per_backend}"
-        )
-        per_strategy = ", ".join(
-            f"{name}={timing['seconds'] * 1000:.1f}ms"
-            f"/{timing['points_searched']}pt"
-            for name, timing in entry["strategies"].items()
-        )
-        print(f"  strategies {per_strategy}")
-        inc = entry["incremental"]
-        print(
-            f"  incremental off={inc['off_seconds'] * 1000:.1f}ms"
-            f" cold={inc['cold_seconds'] * 1000:.1f}ms"
-            f" warm={inc['warm_seconds'] * 1000:.1f}ms"
-            f" ({inc['speedup_warm']}x warm,"
-            f" {inc['warm_hit_rate']:.0%} hit rate)"
-        )
-
-    if args.journal_events > 0:
-        print(f"benchmarking journal ({args.journal_events} events) ...",
-              flush=True)
-        document["journal"] = bench_journal(args.journal_events, args.repeats)
-        entry = document["journal"]
-        print(
-            f"  append {entry['append_seconds']:.3f}s"
-            f" ({entry['appends_per_second']:.0f}/s,"
-            f" {entry['segments']} segments),"
-            f" replay {entry['replay_seconds']:.3f}s,"
-            f" fsck {entry['fsck_inspect_seconds']:.3f}s,"
-            f" compact {entry['compact_seconds']:.3f}s"
-        )
-
-    return document
 
 
 if __name__ == "__main__":

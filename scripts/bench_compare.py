@@ -1,74 +1,61 @@
 #!/usr/bin/env python
-"""Diff the latest bench document against the previous one — the
-perf-regression gate.
+"""Gate the newest bench document against the previous one.
 
-``scripts/bench.py`` writes ``BENCH_<pr>.json`` at the repo root; this
-script compares the newest document's hot-path timings against the
-previous checked-in one and exits nonzero when any regresses by more
-than ``--threshold`` (default 20%).  Hot paths:
+``scripts/bench.py`` writes ``BENCH_<n>.json`` at the repo root.  The
+gate exits 1 when a metric got worse than its bound:
 
-* per-kernel ``walk.seconds`` — the Figure-2 loop, the paper's headline
-  (measured with incremental evaluation pinned off, so the number means
-  the same thing in every document);
-* per-kernel ``point_eval_seconds`` — the unit the walk repeats;
-* per-kernel incremental ``cold_seconds`` — a first walk over an empty
-  memo, the one path where the memo layer's hashing and journal writes
-  are pure overhead (gates once two documents record it);
-* per-kernel analytic-backend ``estimate.seconds`` (the navigation
-  model; the deliberately-slow interp backend is excluded);
-* journal ``appends_per_second`` and ``replays_per_second`` (inverted:
-  lower throughput is the regression).
+* each ``<workload>/<metric>`` in both documents' ``end_to_end``, in the
+  ``better`` direction and within the ``bound`` ``BENCHMARK.json`` gives;
+* the journal's ``appends_per_second`` and ``replays_per_second``,
+  judged as microseconds per event within 20%, so a rate that falls
+  below 1/1.2 of the previous one fails.
 
-Timings are machine-relative, so the gate only fires when both
-documents exist; a missing previous document passes with a note (first
-run on a fresh machine has nothing to compare against).
+Times and rates are first scaled by the ratio of the two hosts' speed
+on a frozen calibration loop: the median ``host.calibration_per_s`` of
+a document, or ``journal.calibration_per_second`` before schema 2.
+Memory is compared raw.  Per-layer metrics have no bound, so their
+changes are printed, never gated.  BENCH_6-10 have no ``end_to_end``:
+against them only the journal is checked.  When the newest document's
+``src_sha256`` is not the checkout's, the first output line starts with
+``STALE:`` (the exit status does not change).  ``--experiments FILE``
+also rebuilds FILE's bench-trend table from the schema-2 documents::
 
-Two checked-in documents were almost never measured under the same
-load, CPU governor, or VM weather, and the gated paths are hundreds of
-milliseconds — raw wall-time ratios drift ±25% with no code change at
-all.  The gate therefore corrects for the *common mode* before judging:
-the median new/old ratio across every shared hot path estimates the
-machine drift (a uniformly slower box moves every path together), each
-path's ratio is divided by it, and only paths that regressed relative
-to the document as a whole are flagged.  A real regression concentrates
-in the paths the offending change touches and survives the correction;
-uniform slowness cancels out.  ``--no-drift-correction`` restores raw
-ratios for same-machine back-to-back comparisons.
-
-Correction handles drift every path shares; it cannot help a path
-whose own timings scatter run to run.  ``bench.py --runs N`` records
-each gated path's per-run values, and the gate widens that path's
-allowance by its measured spread — a 30ms walk that varies 40% between
-suite passes is only flagged beyond 20% + 40%.  On a quiet machine
-spreads are a few percent and the policy threshold is what gates.
-
-``--experiments EXPERIMENTS.md`` additionally rewrites the trend table
-between the ``<!-- bench-trend:begin -->`` / ``:end`` markers with one
-row per checked-in bench document — walk seconds per kernel across PRs.
-
-Usage::
-
-    PYTHONPATH=src python scripts/bench_compare.py            # gate
-    PYTHONPATH=src python scripts/bench_compare.py \\
-        --experiments EXPERIMENTS.md                          # + table
+    python scripts/bench_compare.py
+    python scripts/bench_compare.py --previous BENCH_<n>.json --current new.json
+    python scripts/bench_compare.py --experiments EXPERIMENTS.md
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
+import statistics
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
 TREND_BEGIN = "<!-- bench-trend:begin -->"
 TREND_END = "<!-- bench-trend:end -->"
 
-#: The estimate backend whose cost gates (the walk's navigation model).
-GATED_BACKEND = "analytic"
+#: Journal rates the gate checks, and their bound.
+JOURNAL_RATES = ("appends_per_second", "replays_per_second")
+JOURNAL_BOUND = 0.20
+
+
+def src_sha256(root: Path = ROOT) -> str:
+    """SHA-256 over the path and bytes of every ``src/repro/**/*.py``
+    (``src/`` also holds an untracked egg-info, which is left out)."""
+    digest = hashlib.sha256()
+    for path in sorted(root.glob("src/repro/**/*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(root).as_posix()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def bench_documents(root: Path) -> List[Tuple[int, Path]]:
@@ -85,195 +72,128 @@ def load(path: Path) -> dict:
     return json.loads(path.read_text())
 
 
-def hot_paths(document: dict) -> Dict[str, float]:
-    """``metric name -> seconds`` (lower is better) for the gated paths."""
-    paths: Dict[str, float] = {}
-    for name, entry in sorted(document.get("kernels", {}).items()):
-        walk = entry.get("walk", {})
-        if "seconds" in walk:
-            paths[f"{name}.walk"] = float(walk["seconds"])
-        if "point_eval_seconds" in entry:
-            paths[f"{name}.point"] = float(entry["point_eval_seconds"])
-        incremental = entry.get("incremental", {})
-        if "cold_seconds" in incremental:
-            # The memo layer's own overhead — walk.seconds is measured
-            # with incremental pinned off, so a creeping hash or
-            # journal cost would otherwise escape the gate.
-            paths[f"{name}.cold"] = float(incremental["cold_seconds"])
-        backend = entry.get("estimate", {}).get(GATED_BACKEND, {})
-        if "seconds" in backend:
-            paths[f"{name}.estimate[{GATED_BACKEND}]"] = float(
-                backend["seconds"]
-            )
-    journal = document.get("journal", {})
-    for rate_key, label in (
-        ("appends_per_second", "journal.append"),
-        ("replays_per_second", "journal.replay"),
-    ):
-        rate = journal.get(rate_key)
-        if rate:
-            # Invert throughput so "bigger number = slower" everywhere.
-            paths[label] = 1.0 / float(rate)
-    return paths
+def host_rate(document: dict) -> Optional[float]:
+    """The host's speed on the frozen calibration loop, per second."""
+    rates = [value for name, value in document.get("per_layer", {}).items()
+             if name.endswith("/host.calibration_per_s")]
+    if rates:
+        return statistics.median(rates)
+    return document.get("journal", {}).get("calibration_per_second")
 
 
-def path_spreads(document: dict) -> Dict[str, float]:
-    """``metric name -> relative run-to-run spread`` ((max-min)/min)
-    from the ``<field>_runs`` arrays ``bench.py --runs N`` records.
-    Documents benched with a single run report no spreads."""
-    def spread(values) -> Optional[float]:
-        if not values or min(values) <= 0:
-            return None
-        return (max(values) - min(values)) / min(values)
-
-    spreads: Dict[str, float] = {}
-    for name, entry in sorted(document.get("kernels", {}).items()):
-        candidates = {
-            f"{name}.walk": entry.get("walk", {}).get("seconds_runs"),
-            f"{name}.point": entry.get("point_eval_seconds_runs"),
-            f"{name}.cold": entry.get(
-                "incremental", {}).get("cold_seconds_runs"),
-            f"{name}.estimate[{GATED_BACKEND}]": entry.get(
-                "estimate", {}).get(GATED_BACKEND, {}).get("seconds_runs"),
-        }
-        for label, runs in candidates.items():
-            value = spread(runs)
-            if value is not None:
-                spreads[label] = value
-    journal = document.get("journal", {})
-    for rate_key, label in (
-        ("appends_per_second_runs", "journal.append"),
-        ("replays_per_second_runs", "journal.replay"),
-    ):
-        value = spread(journal.get(rate_key))
-        if value is not None:
-            spreads[label] = value
-    return spreads
+def on_previous_host(value: float, unit: str, speed: float) -> float:
+    """``value`` as the previous host would have read it; ``speed`` is
+    the current host's calibration rate over the previous one's."""
+    if unit.endswith("/s"):
+        return value / speed
+    if unit in ("s", "ms", "us"):
+        return value * speed
+    return value
 
 
-def drift_factor(before: Dict[str, float], after: Dict[str, float]) -> float:
-    """Median new/old ratio over the shared paths — the common mode."""
-    ratios = sorted(
-        after[name] / before[name]
-        for name in set(before) & set(after) if before[name] > 0
-    )
-    if not ratios:
-        return 1.0
-    mid = len(ratios) // 2
-    if len(ratios) % 2:
-        return ratios[mid]
-    return (ratios[mid - 1] + ratios[mid]) / 2.0
+def worsening(old: float, new: float, better: str) -> float:
+    """How much worse ``new`` is than ``old``, as a fraction of ``old``
+    (negative when it is better)."""
+    if better == "higher":
+        return (old - new) / old
+    return (new - old) / old
 
 
-def compare(previous: dict, current: dict, threshold: float,
-            correct_drift: bool = True) -> List[str]:
-    """Regression lines (empty = gate passes).
+def compare(previous: dict, current: dict,
+            spec: dict) -> Tuple[List[str], List[str]]:
+    """``(report lines, regressions)``; no regressions = the gate passes."""
+    lines: List[str] = []
+    regressions: List[str] = []
+    checked = 0
+    old_host, new_host = host_rate(previous), host_rate(current)
+    speed = new_host / old_host if old_host and new_host else None
+    if speed is not None:
+        lines.append(f"host calibration {old_host:.4g} -> {new_host:.4g}/s:"
+                     f" times and rates scaled by {speed:.3f}")
 
-    A path's allowance is ``threshold`` plus its own measured
-    run-to-run spread (the larger of the two documents'): a regression
-    must clear both the policy bar and the path's demonstrated noise
-    before the gate believes it.
-    """
-    before = hot_paths(previous)
-    after = hot_paths(current)
-    noise_before = path_spreads(previous)
-    noise_after = path_spreads(current)
-    drift = drift_factor(before, after) if correct_drift else 1.0
-    journal_drift = _journal_drift(previous, current) if correct_drift \
-        else 1.0
-    regressions = []
-    for name in sorted(set(before) & set(after)):
-        old, new = before[name], after[name]
-        if old <= 0:
-            continue
-        if name.startswith("journal."):
-            if journal_drift is None:
-                # The baseline predates the calibration loop: CPU-bound
-                # journal micro-timings cannot be separated from the
-                # machine, so these paths gate from the next pair on.
-                continue
-            ratio = (new / old) / journal_drift
-        else:
-            ratio = (new / old) / drift
-        allowed = 1.0 + threshold + max(
-            noise_before.get(name, 0.0), noise_after.get(name, 0.0)
-        )
-        if ratio > allowed:
-            regressions.append(
-                f"{name}: {old * 1000:.3f}ms -> {new * 1000:.3f}ms "
-                f"({ratio:.2f}x drift-corrected, "
-                f"allowed {allowed:.2f}x)"
-            )
-    return regressions
+    def judge(name, old, new, unit, better, bound):
+        nonlocal checked
+        checked += 1
+        new = on_previous_host(new, unit, speed)
+        worse = worsening(old, new, better)
+        line = (f"{name:40s} {old:11.5g} -> {new:11.5g} {unit:8s}"
+                f" {worse:+7.1%} worse (bound {bound:.0%})")
+        if worse > bound:
+            regressions.append(line)
+        lines.append(("REGRESSION " if worse > bound else "ok ") + line)
+
+    bounded = {entry["name"]: entry for entry in spec["end_to_end"]}
+    if "end_to_end" in previous and "end_to_end" in current:
+        old_values, new_values = previous["end_to_end"], current["end_to_end"]
+        for name in sorted(set(old_values) & set(new_values)):
+            entry = bounded[name.split("/", 1)[1]]
+            judge(name, old_values[name], new_values[name], entry["unit"],
+                  entry["better"], entry["bound"])
+    else:
+        lines.append("no end_to_end metrics in both documents (BENCH_6-10"
+                     " have none): checking the journal only")
+
+    if speed is None:
+        lines.append("a document records no host calibration:"
+                     " the journal is not checked")
+    else:
+        old_journal = previous.get("journal", {})
+        new_journal = current.get("journal", {})
+        for rate in JOURNAL_RATES:
+            if old_journal.get(rate) and new_journal.get(rate):
+                judge(f"journal/{rate} as us/event", 1e6 / old_journal[rate],
+                      1e6 / new_journal[rate], "us", "lower", JOURNAL_BOUND)
+
+    units = {entry["name"]: entry["unit"] for entry in spec["per_layer"]}
+    old_layers = previous.get("per_layer", {})
+    new_layers = current.get("per_layer", {})
+    shared = sorted(set(old_layers) & set(new_layers))
+    if shared:
+        lines.append("per-layer changes (not gated):")
+    for name in shared:
+        unit = units.get(name.split("/", 1)[1], "")
+        old = old_layers[name]
+        new = on_previous_host(new_layers[name], unit, speed)
+        change = f"{(new - old) / old:+7.1%}" if old else ""
+        lines.append(f"  {name:56s} {old:11.5g} -> {new:11.5g} {unit:6s}"
+                     f" {change}")
+    lines.append(f"{checked} gated metrics checked,"
+                 f" {len(regressions)} regressed")
+    return lines, regressions
 
 
-def _journal_drift(previous: dict, current: dict) -> Optional[float]:
-    """Machine ratio for the journal paths, from the frozen calibration
-    loop both documents ran — ``None`` when either predates it."""
-    old = previous.get("journal", {}).get("calibration_per_second")
-    new = current.get("journal", {}).get("calibration_per_second")
-    if not old or not new:
-        return None
-    return float(old) / float(new)
-
-
-def trend_table(documents: List[Tuple[int, Path]]) -> str:
-    """Markdown: walk seconds (and warm incremental, when recorded) per
-    kernel across every checked-in bench document."""
-    kernels: List[str] = []
-    rows = []
+def trend_table(documents: List[Tuple[int, Path]], workloads: List[str]) -> str:
+    """Markdown: ``ops_per_s`` per workload and the host calibration,
+    one row per schema-2 document."""
+    lines = [
+        "| Bench | " + " | ".join(workloads) + " | host calibration |",
+        "|---" * (len(workloads) + 2) + "|",
+    ]
     for number, path in documents:
         document = load(path)
-        entry_kernels = sorted(document.get("kernels", {}))
-        for name in entry_kernels:
-            if name not in kernels:
-                kernels.append(name)
-        rows.append((number, document))
-    lines = [
-        "| Bench | " + " | ".join(f"{k} walk" for k in kernels) + " |",
-        "|---" * (len(kernels) + 1) + "|",
-    ]
-    for number, document in rows:
-        cells = []
-        for name in kernels:
-            entry = document.get("kernels", {}).get(name, {})
-            seconds = entry.get("walk", {}).get("seconds")
-            if seconds is None:
-                cells.append("—")
-                continue
-            cell = f"{seconds * 1000:.1f}ms"
-            warm = entry.get("incremental", {}).get("warm_seconds")
-            if warm is not None:
-                cell += f" / {warm * 1000:.1f}ms warm"
-            cells.append(cell)
+        if "end_to_end" not in document:
+            continue
+        cells = [f"{document['end_to_end'][f'{w}/ops_per_s']:.4g}"
+                 for w in workloads]
+        cells.append(f"{host_rate(document) / 1000:.0f}k/s")
         lines.append(f"| PR {number} | " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
 
-def update_experiments(path: Path, table: str) -> bool:
-    """Replace (or append) the marker-delimited trend section."""
-    block = (
-        f"{TREND_BEGIN}\n"
-        f"Walk seconds per kernel across checked-in bench documents\n"
-        f"(cold / warm-memo where recorded; regenerate with\n"
-        f"`python scripts/bench_compare.py --experiments EXPERIMENTS.md`):\n\n"
-        f"{table}\n"
-        f"{TREND_END}"
+def update_experiments(path: Path, table: str) -> None:
+    """Replace the block between the trend markers."""
+    head, begin, rest = path.read_text().partition(TREND_BEGIN)
+    _, end, tail = rest.partition(TREND_END)
+    if not (begin and end):
+        raise SystemExit(f"{path}: missing {TREND_BEGIN}/{TREND_END} markers")
+    path.write_text(
+        f"{head}{TREND_BEGIN}\n"
+        "End-to-end `ops_per_s` per workload (`bench/run.py --seed 1\n"
+        "--trace 0`) and the median host calibration of each document;\n"
+        "regenerate with\n"
+        "`python scripts/bench_compare.py --experiments EXPERIMENTS.md`:\n\n"
+        f"{table}\n{TREND_END}{tail}"
     )
-    text = path.read_text()
-    if TREND_BEGIN in text and TREND_END in text:
-        pattern = re.compile(
-            re.escape(TREND_BEGIN) + r".*?" + re.escape(TREND_END),
-            re.DOTALL,
-        )
-        updated = pattern.sub(block, text)
-    else:
-        updated = text.rstrip() + "\n\n## Bench trend (hot paths)\n\n" \
-            + block + "\n"
-    if updated == text:
-        return False
-    path.write_text(updated)
-    return True
 
 
 def main(argv=None) -> int:
@@ -287,17 +207,8 @@ def main(argv=None) -> int:
         help="baseline document (default: second-newest BENCH_*.json)",
     )
     parser.add_argument(
-        "--threshold", type=float, default=0.20,
-        help="allowed fractional slowdown per hot path "
-             "(default: %(default)s)",
-    )
-    parser.add_argument(
         "--experiments", default=None, metavar="FILE",
         help="also rewrite FILE's bench-trend table",
-    )
-    parser.add_argument(
-        "--no-drift-correction", dest="drift", action="store_false",
-        help="judge raw ratios (same-machine back-to-back runs only)",
     )
     args = parser.parse_args(argv)
 
@@ -316,34 +227,30 @@ def main(argv=None) -> int:
                  if path.resolve() != current_path.resolve()]
         previous_path = older[-1] if older else None
 
+    current = load(current_path)
+    checkout = src_sha256()
+    if current.get("src_sha256") != checkout:
+        print(f"STALE: {current_path.name} measured src/repro"
+              f" {current.get('src_sha256', 'of unrecorded content')};"
+              f" the checkout's hashes to {checkout}")
+
+    spec = load(ROOT / "BENCHMARK.json")
     if args.experiments:
-        experiments = Path(args.experiments)
-        changed = update_experiments(experiments, trend_table(documents))
-        print(f"{'updated' if changed else 'unchanged'}: {experiments}")
+        workloads = [entry["name"] for entry in spec["workloads"]]
+        update_experiments(Path(args.experiments),
+                           trend_table(documents, workloads))
+        print(f"updated {args.experiments}")
 
     if previous_path is None:
         print(f"{current_path.name}: nothing to compare against "
               f"(first bench document) — gate passes")
         return 0
 
-    before, after = load(previous_path), load(current_path)
-    regressions = compare(before, after, args.threshold, args.drift)
-    drift = (drift_factor(hot_paths(before), hot_paths(after))
-             if args.drift else 1.0)
-    print(f"comparing {previous_path.name} -> {current_path.name} "
-          f"(threshold {args.threshold:.0%}, "
-          f"machine drift {drift:.2f}x corrected out)")
-    if args.drift and _journal_drift(before, after) is None \
-            and any(p.startswith("journal.") for p in hot_paths(after)):
-        print("  note: journal paths skipped — baseline predates the "
-              "calibration loop; they gate from the next document pair")
-    if regressions:
-        for line in regressions:
-            print(f"  REGRESSION {line}")
-        return 1
-    print(f"  {len(hot_paths(load(current_path)))} hot paths checked, "
-          f"none regressed")
-    return 0
+    lines, regressions = compare(load(previous_path), current, spec)
+    print(f"comparing {previous_path.name} -> {current_path.name}")
+    for line in lines:
+        print(f"  {line}")
+    return 1 if regressions else 0
 
 
 if __name__ == "__main__":

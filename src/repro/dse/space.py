@@ -303,10 +303,7 @@ class DesignSpace:
     @property
     def max_factors(self) -> Tuple[int, ...]:
         """Umax: full unrolling, with pinned loops at 1."""
-        return tuple(
-            1 if depth in self.pinned_depths else trip
-            for depth, trip in enumerate(self.nest.trip_counts)
-        )
+        return tuple(self.factors(depth)[-1] for depth in range(self.depth))
 
     def baseline_vector(self) -> UnrollVector:
         """Ubase: no unrolling."""
@@ -320,7 +317,8 @@ class DesignSpace:
         for depth, (factor, trip) in enumerate(zip(unroll, self.nest.trip_counts)):
             if depth in self.pinned_depths and factor != 1:
                 return False
-            if trip > 0 and (factor > trip or trip % factor != 0):
+            trip = max(trip, 1)
+            if factor > trip or trip % factor != 0:
                 return False
         return True
 
@@ -334,10 +332,11 @@ class DesignSpace:
 
     def factors(self, depth: int) -> List[int]:
         """The realizable unroll factors of one loop, ascending: the
-        divisors of its trip count, or just 1 when it is pinned."""
+        divisors of its trip count (an empty loop counts as one trip, as
+        in ``size``), or just 1 when it is pinned."""
         if depth in self.pinned_depths:
             return [1]
-        trip = self.nest.trip_counts[depth]
+        trip = max(self.nest.trip_counts[depth], 1)
         return [f for f in range(1, trip + 1) if trip % f == 0]
 
     def points_between(

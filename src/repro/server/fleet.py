@@ -53,7 +53,7 @@ from repro.server.leases import DEFAULT_LEASE_TTL_S, LeaseTable
 from repro.server.store import JobStore, ServerJob
 from repro.service.jobs import JobSpec
 from repro.service.worker import (
-    build_options, job_memo, load_program, resolve_board,
+    build_options, job_memo, load_program, resolve_board, with_runtime,
 )
 
 #: Default points per shard — small enough that a kernel's lattice
@@ -534,15 +534,10 @@ class FleetCoordinator:
                 "points": len(shard.points),
             })
             current_registry().counter("fleet.shards_dispatched").inc()
-            payload = shard.to_payload(spec)
-            runtime: Dict[str, Any] = {}
-            if not self.incremental:
-                runtime["incremental"] = False
-            if self.memo_dir is not None:
-                runtime["memo_dir"] = self.memo_dir
-            if runtime:
-                payload["runtime"] = runtime
-            return payload
+            return with_runtime(
+                shard.to_payload(spec), incremental=self.incremental,
+                memo_dir=self.memo_dir,
+            )
 
     def _next_shard(self) -> Tuple[Optional[ShardSpec], Optional[JobSpec]]:
         """The next pending shard, claiming a fresh job if none remain."""

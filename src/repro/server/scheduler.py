@@ -45,7 +45,6 @@ serves), and worker spans append to ``<state-dir>/spans.jsonl``.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -57,7 +56,9 @@ from repro.incremental.journal import release_memo
 from repro.obs import MetricsRegistry
 from repro.server.store import JobStore, ServerJob
 from repro.service.runner import JobFailure
-from repro.service.worker import execute_job
+from repro.service.worker import (
+    absorb_obs, execute_job, strategy_won, with_runtime,
+)
 
 #: How long the dispatch loop dozes when there is nothing to do (s).
 _IDLE_POLL_S = 0.05
@@ -213,7 +214,7 @@ class Scheduler:
                     "server.jobs.failed", kind=failure.kind
                 ).inc()
                 break
-            self._absorb_obs(payload)
+            absorb_obs(payload, self.registry, self.spans_path)
             self.store.finish_ok(job, payload)
             self._note_strategy(job, payload)
             self.registry.counter("server.jobs.completed").inc()
@@ -225,8 +226,9 @@ class Scheduler:
 
     def _note_strategy(self, job: ServerJob, payload: Any) -> None:
         """Fold one finished job into the store's durable scoreboard —
-        the batch runner's win criterion (a real speedup without a
-        degraded baseline), journaled so the tally survives restarts."""
+        the batch runner's win rule
+        (:func:`~repro.service.worker.strategy_won`), journaled so the
+        tally survives restarts."""
         if not isinstance(payload, Mapping):
             return
         from repro.dse import DEFAULT_STRATEGY
@@ -238,13 +240,9 @@ class Scheduler:
                 features=selection.get("features"),
             )
         strategy = payload.get("strategy") or DEFAULT_STRATEGY
-        speedup = payload.get("speedup")
-        won = (
-            isinstance(speedup, (int, float)) and speedup >= 1.0
-            and not payload.get("baseline_degraded")
-        )
+        won = strategy_won(payload)
         self.store.record_strategy_outcome(
-            job.id, strategy, won, speedup=speedup,
+            job.id, strategy, won, speedup=payload.get("speedup"),
             points_searched=payload.get("points_searched"),
         )
         self.registry.counter(
@@ -286,28 +284,17 @@ class Scheduler:
             raise
 
     def _payload(self, spec) -> Dict[str, Any]:
-        """Spec payload + the server's runtime knobs (mirrors the batch
-        runner's contract so ``execute_job`` cannot tell who called)."""
-        payload = spec.to_payload()
-        runtime: Dict[str, Any] = {}
-        deadline = spec.call_deadline_s or self.call_deadline_s
-        if deadline is not None:
-            runtime["call_deadline_s"] = deadline
-        if self.fault_spec is not None:
-            runtime["fault_spec"] = self.fault_spec
-        if not self.incremental:
-            runtime["incremental"] = False
-        if self.memo_dir is not None:
-            runtime["memo_dir"] = self.memo_dir
+        """Spec payload + the server's runtime knobs."""
         # Ship the durable win-rate tallies so a worker resolving
         # ``--strategy auto`` consults everything every previous server
         # life learned, not just this boot's outcomes.
-        scoreboard = self.store.scoreboard_snapshot()
-        if scoreboard:
-            runtime["scoreboard"] = scoreboard
-        if runtime:
-            payload["runtime"] = runtime
-        return payload
+        return with_runtime(
+            spec.to_payload(),
+            call_deadline_s=spec.call_deadline_s or self.call_deadline_s,
+            fault_spec=self.fault_spec, incremental=self.incremental,
+            memo_dir=self.memo_dir,
+            scoreboard=self.store.scoreboard_snapshot(),
+        )
 
     # -- pool management -------------------------------------------------------
 
@@ -353,28 +340,6 @@ class Scheduler:
             # The in-process jobs are over: drop their resident memo
             # store, so a later server in this process reads the disk.
             release_memo(self.memo_dir)
-
-    # -- observations ----------------------------------------------------------
-
-    def _absorb_obs(self, payload: Dict[str, Any]) -> None:
-        """Fold a worker's shipped observations into the server's."""
-        if not isinstance(payload, dict):
-            return
-        obs = payload.pop("obs", None)
-        if not isinstance(obs, Mapping):
-            return
-        metrics = obs.get("metrics")
-        if isinstance(metrics, Mapping):
-            self.registry.merge(metrics)
-        spans = obs.get("spans")
-        if spans and self.spans_path is not None:
-            try:
-                self.spans_path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.spans_path, "a") as stream:
-                    for span in spans:
-                        stream.write(json.dumps(span) + "\n")
-            except (OSError, TypeError, ValueError):
-                self.registry.counter("obs.spans.dropped").inc(len(spans))
 
 
 class _JobTimeout(Exception):

@@ -54,7 +54,9 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.service.jobs import BatchManifest, JobSpec
 from repro.service.ledger import LedgerState, RunLedger
 from repro.service.telemetry import Telemetry
-from repro.service.worker import execute_job
+from repro.service.worker import (
+    absorb_obs, execute_job, strategy_won, with_runtime,
+)
 from repro.errors import failure_kind, is_transient
 
 #: How often the coordinator wakes to check deadlines (seconds).
@@ -352,24 +354,12 @@ class BatchRunner:
     # -- payloads -------------------------------------------------------------
 
     def _payload(self, spec: JobSpec) -> Dict[str, Any]:
-        """The spec payload plus the engine's runtime knobs.
-
-        The ``runtime`` key is only added when a knob is set, so
-        injected test workers see exactly the spec payload otherwise.
-        """
-        payload = spec.to_payload()
-        runtime: Dict[str, Any] = {}
-        if self.call_deadline_s is not None:
-            runtime["call_deadline_s"] = self.call_deadline_s
-        if self.fault_spec is not None:
-            runtime["fault_spec"] = self.fault_spec
-        if not self.incremental:
-            runtime["incremental"] = False
-        if self.memo_dir is not None:
-            runtime["memo_dir"] = self.memo_dir
-        if runtime:
-            payload["runtime"] = runtime
-        return payload
+        """The spec payload plus the engine's runtime knobs."""
+        return with_runtime(
+            spec.to_payload(), call_deadline_s=self.call_deadline_s,
+            fault_spec=self.fault_spec, incremental=self.incremental,
+            memo_dir=self.memo_dir,
+        )
 
     # -- serial path ----------------------------------------------------------
 
@@ -496,24 +486,6 @@ class BatchRunner:
             self.ledger.record_attempt(spec, attempt)
         self.telemetry.emit("job_start", job_id=spec.id, attempt=attempt)
 
-    def _absorb_obs(self, obs: Mapping[str, Any]) -> None:
-        """Fold one worker's shipped observations into the run's:
-        metrics snapshots merge into the coordinator registry, spans
-        append to the run's span file.  Never a point of failure — a
-        bad spans disk degrades to a counted drop."""
-        metrics = obs.get("metrics")
-        if isinstance(metrics, Mapping):
-            self.metrics.merge(metrics)
-        spans = obs.get("spans")
-        if spans and self.spans_path is not None:
-            try:
-                self.spans_path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.spans_path, "a") as stream:
-                    for span in spans:
-                        stream.write(json.dumps(span) + "\n")
-            except (OSError, TypeError, ValueError):
-                self.metrics.counter("obs.spans.dropped").inc(len(spans))
-
     def _note_success(
         self,
         spec: JobSpec,
@@ -521,13 +493,7 @@ class BatchRunner:
         payload: Dict[str, Any],
         results: Dict[str, JobResult],
     ) -> None:
-        # Observations leave the payload before it reaches the ledger or
-        # telemetry: spans/metrics are run-level artifacts with their own
-        # files, and journaling them per job would bloat every record.
-        if isinstance(payload, dict):
-            obs = payload.pop("obs", None)
-            if isinstance(obs, Mapping):
-                self._absorb_obs(obs)
+        absorb_obs(payload, self.metrics, self.spans_path)
         if self.ledger is not None:
             self.ledger.record_success(spec, attempt, payload)
         finish_fields = {
@@ -564,8 +530,7 @@ class BatchRunner:
         An auto-selection decision (if the worker made one) and the
         scored outcome are journaled as typed v1 events; the outcome's
         ``trials``/``win_rate`` snapshot the scoreboard after the fold.
-        A win means the walk found a real speedup without degrading the
-        baseline.
+        A win follows :func:`~repro.service.worker.strategy_won`.
         """
         from repro.dse import DEFAULT_STRATEGY
         selection = payload.get("strategy_selection")
@@ -584,10 +549,7 @@ class BatchRunner:
                 )
         strategy = payload.get("strategy") or DEFAULT_STRATEGY
         speedup = payload.get("speedup")
-        won = (
-            speedup is not None and speedup >= 1.0
-            and not payload.get("baseline_degraded")
-        )
+        won = strategy_won(payload)
         self.scoreboard.record(strategy, won)
         trials = self.scoreboard.trials(strategy)
         win_rate = self.scoreboard.win_rate(strategy)

@@ -21,6 +21,11 @@ Robustness discipline inside the worker:
   active whenever a fault spec is (env or runtime), which is how the
   chaos suite drives this exact code path.
 
+The batch runner, the server scheduler and the fleet coordinator build
+the payload with :func:`with_runtime`; the first two also fold a
+result's observations with :func:`absorb_obs` and score its strategy
+with :func:`strategy_won`.
+
 Estimates persist in the memo journal named by the runtime map's
 ``memo_dir``, and each job flushes what it learned before returning, so
 estimates learned by one job are visible to jobs scheduled later.  The
@@ -35,6 +40,7 @@ memo tallies.
 
 from __future__ import annotations
 
+import json
 import time
 from contextlib import nullcontext
 from pathlib import Path
@@ -118,6 +124,77 @@ def _make_guard(spec: JobSpec, runtime: Mapping[str, Any]) -> EstimationGuard:
     return EstimationGuard(
         GuardPolicy(call_deadline_s=deadline), seed=_guard_seed(spec),
         key=spec.id,
+    )
+
+
+def with_runtime(
+    payload: Dict[str, Any],
+    *,
+    call_deadline_s: Optional[float] = None,
+    fault_spec: Optional[str] = None,
+    incremental: bool = True,
+    memo_dir: Optional[str] = None,
+    scoreboard: Optional[Mapping[str, Any]] = None,
+) -> Dict[str, Any]:
+    """``payload`` with the caller's runtime knobs under ``runtime``.
+
+    The key is only added when a knob is set, so injected test workers
+    see exactly the spec payload otherwise.
+    """
+    runtime: Dict[str, Any] = {}
+    if call_deadline_s is not None:
+        runtime["call_deadline_s"] = call_deadline_s
+    if fault_spec is not None:
+        runtime["fault_spec"] = fault_spec
+    if not incremental:
+        runtime["incremental"] = False
+    if memo_dir is not None:
+        runtime["memo_dir"] = memo_dir
+    if scoreboard:
+        runtime["scoreboard"] = scoreboard
+    if runtime:
+        payload["runtime"] = runtime
+    return payload
+
+
+def absorb_obs(
+    payload: Any, registry: MetricsRegistry, spans_path: Optional[Path]
+) -> None:
+    """Pop a worker result's shipped observations and fold them into the
+    caller's: the metrics snapshot merges into ``registry``, spans
+    append to ``spans_path``.
+
+    Observations leave the payload before it reaches a ledger or job
+    store: spans and metrics are run-level artifacts with their own
+    files, and journaling them per job would bloat every record.  Never
+    a point of failure: a bad spans disk degrades to a counted drop.
+    """
+    if not isinstance(payload, dict):
+        return
+    obs = payload.pop("obs", None)
+    if not isinstance(obs, Mapping):
+        return
+    metrics = obs.get("metrics")
+    if isinstance(metrics, Mapping):
+        registry.merge(metrics)
+    spans = obs.get("spans")
+    if spans and spans_path is not None:
+        try:
+            spans_path.parent.mkdir(parents=True, exist_ok=True)
+            with open(spans_path, "a") as stream:
+                for span in spans:
+                    stream.write(json.dumps(span) + "\n")
+        except (OSError, TypeError, ValueError):
+            registry.counter("obs.spans.dropped").inc(len(spans))
+
+
+def strategy_won(payload: Mapping[str, Any]) -> bool:
+    """The strategy win rule: the walk found a real speedup without a
+    degraded baseline."""
+    speedup = payload.get("speedup")
+    return (
+        isinstance(speedup, (int, float)) and speedup >= 1.0
+        and not payload.get("baseline_degraded")
     )
 
 

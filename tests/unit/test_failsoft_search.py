@@ -4,13 +4,14 @@ import pytest
 
 import repro.dse.space as space_module
 from repro.dse import (
-    BalanceGuidedStrategy, DesignSpace, SearchOptions, analyze_saturation,
-    explore,
+    BalanceGuidedStrategy, DesignSpace, ExploreConfig, SearchOptions,
+    analyze_saturation, explore,
 )
 from repro.dse.strategy import initial_vector, loop_priority
 from repro.errors import (
     NoFeasiblePoint, PointFailureBudgetExceeded, TransformError,
 )
+from repro.frontend import compile_source
 from repro.target import wildstar_pipelined
 
 
@@ -121,3 +122,20 @@ class TestTerminalStates:
         options = SearchOptions(max_point_failures=1)
         result = BalanceGuidedStrategy().run(space, options)
         assert result.selected is not None
+
+    @pytest.mark.parametrize("strategy", ["balance", "exhaustive"])
+    @pytest.mark.parametrize("source", [
+        "int A[16]; int B[16];\n"
+        "for (i = 0; i < 0; i++) B[i] = A[i] + 1;",
+        "int A[4][4]; int B[4][4];\n"
+        "for (i = 0; i < 4; i++) for (j = 0; j < 0; j++)"
+        " B[i][j] = A[i][j] + 1;",
+    ], ids=["one-deep", "inner-empty"])
+    def test_empty_loop_is_rejected_by_the_verifier(
+        self, source, strategy, pipelined_board
+    ):
+        """An empty loop has one realizable factor, 1, so the walk reaches
+        the entry verifier instead of asking unroll for a factor of 0."""
+        config = ExploreConfig(search=SearchOptions(strategy=strategy))
+        with pytest.raises(NoFeasiblePoint, match="empty-loop"):
+            explore(compile_source(source), pipelined_board, config=config)
