@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.affine import AffineAccess, collect_accesses
@@ -212,7 +211,7 @@ def constant_distance(
 
     Requires the pair to be uniformly generated (identical linear parts);
     then per dimension ``sum_k coeff_k * d_k = c_a - c_b``.  Gaussian
-    elimination over rationals; a variable never mentioned by any
+    elimination over the integers; a variable never mentioned by any
     subscript is unconstrained (``None`` entry).  Returns ``None`` when
     the system is inconsistent, non-integral, or underdetermined in a
     mentioned variable (the paper's *inconsistent* dependence, e.g.
@@ -220,36 +219,36 @@ def constant_distance(
     """
     if a.array != b.array or a.linear_signature() != b.linear_signature():
         return None
-    mentioned = sorted(a.variables(), key=list(index_vars).index)
-    rows: List[List[Fraction]] = []
+    names = a.variables()
+    mentioned = [var for var in index_vars if var in names]
+    rows: List[List[int]] = []
     for sub_a, sub_b in zip(a.subscripts, b.subscripts):
         coeffs = sub_a.coefficients
-        row = [Fraction(coeffs.get(var, 0)) for var in mentioned]
-        row.append(Fraction(sub_a.constant - sub_b.constant))
+        row = [coeffs.get(var, 0) for var in mentioned]
+        row.append(sub_a.constant - sub_b.constant)
         rows.append(row)
     solution = _solve_exactly(rows, len(mentioned))
     if solution is None:
         return None
     values = dict(zip(mentioned, solution))
-    distance: List[Optional[int]] = []
-    for var in index_vars:
-        if var in values:
-            value = values[var]
-            if value.denominator != 1:
-                return None  # fractional distance: the accesses never meet
-            distance.append(int(value))
-        else:
-            distance.append(None)
-    return tuple(distance)
+    return tuple(values.get(var) for var in index_vars)
 
 
 def _solve_exactly(
-    rows: List[List[Fraction]], num_vars: int
-) -> Optional[List[Fraction]]:
-    """Solve ``A x = b`` (augmented rows) for a unique solution.
+    rows: List[List[int]], num_vars: int
+) -> Optional[List[int]]:
+    """Solve ``A x = b`` (augmented integer rows) for a unique integral
+    solution.
 
-    Returns ``None`` if inconsistent or underdetermined.  With zero
-    variables, succeeds iff every constant row is zero.
+    Returns ``None`` if inconsistent, underdetermined, or if the unique
+    rational solution is not integral (the accesses never meet).  With
+    zero variables, succeeds iff every constant row is zero.
+
+    Fraction-free Gauss-Jordan elimination: a row is updated to
+    ``row * lead - factor * pivot_row``, a nonzero multiple of what
+    rational elimination leaves, so every row has the same zero pattern
+    and the same pivots are chosen.  A pivot row ends as ``lead * x =
+    rhs``.
     """
     matrix = [row[:] for row in rows]
     pivot_row = 0
@@ -261,14 +260,14 @@ def _solve_exactly(
         if pivot is None:
             continue
         matrix[pivot_row], matrix[pivot] = matrix[pivot], matrix[pivot_row]
-        scale = matrix[pivot_row][col]
-        matrix[pivot_row] = [value / scale for value in matrix[pivot_row]]
+        pivot_values = matrix[pivot_row]
+        lead = pivot_values[col]
         for r in range(len(matrix)):
-            if r != pivot_row and matrix[r][col] != 0:
-                factor = matrix[r][col]
+            factor = matrix[r][col]
+            if r != pivot_row and factor != 0:
                 matrix[r] = [
-                    value - factor * pivot_value
-                    for value, pivot_value in zip(matrix[r], matrix[pivot_row])
+                    value * lead - factor * pivot_value
+                    for value, pivot_value in zip(matrix[r], pivot_values)
                 ]
         pivot_cols.append(col)
         pivot_row += 1
@@ -278,9 +277,12 @@ def _solve_exactly(
             return None
     if len(pivot_cols) < num_vars:
         return None  # underdetermined
-    solution = [Fraction(0)] * num_vars
+    solution = [0] * num_vars
     for r, col in enumerate(pivot_cols):
-        solution[col] = matrix[r][-1]
+        lead, rhs = matrix[r][col], matrix[r][-1]
+        if rhs % lead != 0:
+            return None  # fractional distance: the accesses never meet
+        solution[col] = rhs // lead
     return solution
 
 

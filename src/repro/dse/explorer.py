@@ -326,7 +326,8 @@ def auto_pinned_space(
     Pins every loop outside the saturation analysis's
     ``memory_varying_depths`` (the paper fixes MM's innermost loop this
     way).  The explorer uses it when no explicit pins are given, and
-    the fleet partitions the same lattice into shards.
+    the fleet partitions the same lattice into shards.  The space
+    carries the analysis, so the walk over it does not run it again.
     """
     saturation = analyze_saturation(program, board.num_memories)
     varying = set(saturation.memory_varying_depths)
@@ -336,6 +337,7 @@ def auto_pinned_space(
     )
     return DesignSpace(
         program, board, options, library, pins, backend=backend, guard=guard,
+        saturation=saturation,
     )
 
 

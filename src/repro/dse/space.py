@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.dse.failures import POINT_FAILURES, PointDiagnostic, is_point_failure
+from repro.dse.saturation import SaturationInfo
 from repro.incremental.delta import delta_for
 from repro.incremental.hashing import context_fingerprint, point_key, program_hash
 from repro.incremental.memo import current_memo, decode_estimate, encode_estimate
@@ -94,6 +95,8 @@ class DesignSpace:
         pinned_depths: Optional[Tuple[int, ...]] = None,
         backend=None,
         guard=None,
+        *,
+        saturation: Optional[SaturationInfo] = None,
     ):
         from repro.estimate.backends import get_backend
         self.program = program
@@ -109,6 +112,11 @@ class DesignSpace:
         #: optional :class:`repro.service.guard.EstimationGuard` every
         #: backend call runs under (deadline, retries, validation).
         self.guard = guard
+        #: the program's saturation analysis on this board, when the code
+        #: that made the space already ran it
+        #: (:func:`repro.dse.explorer.auto_pinned_space` does); a strategy
+        #: runs it itself when this is ``None``.
+        self.saturation = saturation
         #: every point this space evaluated — ``points_searched``, the
         #: paper's fraction-searched metric, counts these.
         self._cache: Dict[Tuple[int, ...], DesignEvaluation] = {}

@@ -101,9 +101,11 @@ class SearchStrategy:
         self.space = space
         self.options = options or SearchOptions()
         self.confirm_backend = confirm_backend
-        self.saturation = analyze_saturation(
-            space.program, space.board.num_memories
-        )
+        self.saturation = space.saturation
+        if self.saturation is None:
+            self.saturation = analyze_saturation(
+                space.program, space.board.num_memories
+            )
         self._point_failures = 0
         self._trace: List[TraceStep] = []
         self._switches: List[FidelitySwitch] = []

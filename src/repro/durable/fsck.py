@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.durable.journal import (
     DamagedRecord,
     JournalScan,
+    SegmentTally,
     quarantine_records,
     read_record_lines,
     scan_journal,
@@ -201,29 +202,12 @@ def inspect_journal(directory: Path, prefix: str) -> JournalReport:
     )
     per_segment: Dict[str, SegmentReport] = {}
     for path in scan.segments:
-        per_segment[path.name] = SegmentReport(name=path.name)
+        tally = scan.tallies.get(path.name, SegmentTally())
+        per_segment[path.name] = SegmentReport(
+            name=path.name, records=tally.records,
+            framed=tally.framed, legacy=tally.legacy,
+        )
         report.segments.append(per_segment[path.name])
-    # Re-walk per segment for the per-segment tallies the summary scan
-    # does not keep (fsck output is per-segment; replay's is not).
-    for path in scan.segments:
-        segment = per_segment[path.name]
-        try:
-            lines = read_record_lines(path)
-        except OSError:
-            continue
-        from repro.durable.journal import FRAME_FIELD, verify_line
-        for line in lines:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            record, problem = verify_line(stripped)
-            if problem is not None:
-                continue  # counted below from the scan's damage lists
-            segment.records += 1
-            if FRAME_FIELD in stripped:
-                segment.framed += 1
-            else:
-                segment.legacy += 1
     for damaged in scan.corrupt:
         segment = per_segment.get(damaged.segment)
         if segment is not None:

@@ -106,42 +106,93 @@ def record_crc(record: Mapping[str, Any]) -> str:
     """CRC32 (8 hex chars) over the record's canonical form, with any
     existing frame field excluded."""
     body = {k: v for k, v in record.items() if k != FRAME_FIELD}
-    crc = zlib.crc32(canonical_json(body).encode("utf-8")) & 0xFFFFFFFF
-    return f"{crc:08x}"
+    return _crc(canonical_json(body))
+
+
+def _crc(text: str) -> str:
+    return f"{zlib.crc32(text.encode('utf-8')) & 0xFFFFFFFF:08x}"
 
 
 def frame_record(record: Mapping[str, Any]) -> str:
     """Serialize one record with its checksum stamped.
 
     The result is still one plain-JSON line — the frame is a field, not
-    a wrapper — so pre-checksum readers parse it unchanged.
+    a wrapper — so pre-checksum readers parse it unchanged.  It is
+    ``canonical_json`` of the record plus the frame field, built from
+    one serialization of the record: the members that sort before the
+    frame field and those that sort after it are serialized apart, and
+    the frame member is spliced in between.
     """
-    framed = dict(record)
-    framed[FRAME_FIELD] = record_crc(record)
-    return canonical_json(framed)
+    head: Dict[Any, Any] = {}
+    tail: Dict[Any, Any] = {}
+    for key, value in record.items():
+        if key != FRAME_FIELD:
+            (head if key < FRAME_FIELD else tail)[key] = value
+    parts = [canonical_json(part)[1:-1] for part in (head, tail) if part]
+    member = f'"{FRAME_FIELD}":"{_crc("{" + ",".join(parts) + "}")}"'
+    parts.insert(1 if head else 0, member)
+    return "{" + ",".join(parts) + "}"
 
 
-def verify_line(line: str) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
+def _stored_crc(line: str, stamped: str) -> Optional[str]:
+    """CRC32 of ``line`` with its ``"crc32":"<stamped>"`` member and
+    that member's comma cut out: for a line :func:`frame_record` wrote,
+    exactly the bytes the stamp covers.  ``None`` when the member is not
+    there verbatim."""
+    member = f'"{FRAME_FIELD}":"{stamped}"'
+    start = line.find(member)
+    if start < 1:
+        return None
+    end = start + len(member)
+    if line[start - 1] == ",":
+        start -= 1
+    elif line[end:end + 1] == ",":
+        end += 1
+    return _crc(line[:start] + line[end:])
+
+
+class LineCheck(tuple):
+    """What :func:`verify_line` found: unpacks as ``(record, problem)``;
+    ``framed`` is true when a checksum frame verified the record."""
+
+    __slots__ = ()
+    framed = False
+
+
+class _FramedCheck(LineCheck):
+    __slots__ = ()
+    framed = True
+
+
+def verify_line(line: str) -> LineCheck:
     """Decode one journal line; returns ``(record, problem)``.
 
     Exactly one of the pair is ``None``.  Problems: ``bad_json`` (does
     not parse), ``not_object`` (parses to a non-dict), ``crc_mismatch``
     (framed, but the checksum disagrees — the disk lied).  A record with
     no frame field is legacy (pre-checksum) and is accepted verbatim.
+
+    The checksum is first compared with the line's own bytes minus the
+    frame member (:func:`_stored_crc`); only a line that fails that —
+    damaged, or rewritten non-canonically (spaced separators, reordered
+    keys) — has its record re-serialized, and the answer is the
+    re-serialized one's.
     """
     try:
         record = json.loads(line)
     except json.JSONDecodeError:
-        return None, "bad_json"
+        return LineCheck((None, "bad_json"))
     if not isinstance(record, dict):
-        return None, "not_object"
+        return LineCheck((None, "not_object"))
     stamped = record.get(FRAME_FIELD)
     if stamped is None:
-        return record, None
-    record = {k: v for k, v in record.items() if k != FRAME_FIELD}
-    if not isinstance(stamped, str) or stamped != record_crc(record):
-        return None, "crc_mismatch"
-    return record, None
+        return LineCheck((record, None))
+    del record[FRAME_FIELD]
+    if isinstance(stamped, str) and (
+        _stored_crc(line, stamped) == stamped or record_crc(record) == stamped
+    ):
+        return _FramedCheck((record, None))
+    return LineCheck((None, "crc_mismatch"))
 
 
 # -- segment discovery --------------------------------------------------------
@@ -212,6 +263,19 @@ class JournalPosition:
 
 
 @dataclass
+class SegmentTally:
+    """One segment's good records: framed ones verified by their
+    checksum, legacy ones accepted without one."""
+
+    framed: int = 0
+    legacy: int = 0
+
+    @property
+    def records(self) -> int:
+        return self.framed + self.legacy
+
+
+@dataclass
 class JournalScan:
     """Everything one pass over a journal's segments learned."""
 
@@ -221,8 +285,8 @@ class JournalScan:
     #: damage confined to the final line of the final segment
     torn_tail: Optional[DamagedRecord] = None
     segments: List[Path] = field(default_factory=list)
-    framed_records: int = 0
-    legacy_records: int = 0
+    #: good records per segment name, for the segments that had any
+    tallies: Dict[str, SegmentTally] = field(default_factory=dict)
     snapshot_records: int = 0
     #: where the scan stopped; ``None`` when a segment could not be read
     position: Optional[JournalPosition] = None
@@ -230,6 +294,14 @@ class JournalScan:
     @property
     def total_records(self) -> int:
         return len(self.records)
+
+    @property
+    def framed_records(self) -> int:
+        return sum(tally.framed for tally in self.tallies.values())
+
+    @property
+    def legacy_records(self) -> int:
+        return sum(tally.legacy for tally in self.tallies.values())
 
 
 def record_lines(data: bytes) -> List[str]:
@@ -265,25 +337,29 @@ def _scan_lines(scan: JournalScan, segment: str, lines: List[str],
     """Verify ``lines`` into ``scan``; returns the last non-blank line's
     ``(segment, lineno)``."""
     last_entry = None
+    tally = SegmentTally()
     for lineno, line in enumerate(lines, start=first_lineno):
         stripped = line.strip()
         if not stripped:
             continue
         last_entry = (segment, lineno)
-        record, problem = verify_line(stripped)
+        check = verify_line(stripped)
+        record, problem = check
         if problem is not None:
             damaged.append(DamagedRecord(
                 segment=segment, lineno=lineno,
                 problem=problem, raw=stripped,
             ))
             continue
-        if FRAME_FIELD in stripped:
-            scan.framed_records += 1
+        if check.framed:
+            tally.framed += 1
         else:
-            scan.legacy_records += 1
+            tally.legacy += 1
         if record.get("event") == SNAPSHOT_EVENT:
             scan.snapshot_records += 1
         scan.records.append(record)
+    if tally.records:
+        scan.tallies[segment] = tally
     return last_entry
 
 
@@ -688,6 +764,8 @@ __all__ = [
     "JournalClosed",
     "JournalPosition",
     "JournalScan",
+    "LineCheck",
+    "SegmentTally",
     "canonical_json",
     "frame_record",
     "quarantine_path",

@@ -3,11 +3,14 @@
 Tokenizes identifiers, integer literals (decimal and hex), the operator
 and punctuation set the grammar needs, and strips both ``//`` and
 ``/* */`` comments.  Every token carries a line/column for error
-messages.
+messages.  An integer literal ``int(text, 0)`` cannot read (C octal
+``012``, a non-ASCII digit such as ``²``) is a :class:`LexError` at the
+literal, not a later ``ValueError``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, List
 
@@ -18,8 +21,8 @@ KEYWORDS = frozenset({
     "int8", "int16", "int32", "uint8", "uint16", "uint32",
 })
 
-# Multi-character operators must be listed before their prefixes so maximal
-# munch works by first-match over this ordered tuple.
+# Longest first.  Maximal munch takes the longest operator at the
+# position: the lexer looks up the 3-, 2- then 1-character slice.
 OPERATORS = (
     "<<=", ">>=",
     "++", "--", "+=", "-=", "*=", "/=", "%=",
@@ -27,6 +30,13 @@ OPERATORS = (
     "+", "-", "*", "/", "%", "<", ">", "=", "!", "~", "&", "|", "^",
     "(", ")", "[", "]", "{", "}", ";", ",",
 )
+_OPERATOR_SET = frozenset(OPERATORS)
+_OPERATOR_LENGTHS = tuple(sorted({len(op) for op in OPERATORS}, reverse=True))
+
+#: A run of blanks, and a run of ``str.isalnum()`` or ``_`` characters
+#: (exactly what ``\w`` matches in a ``str`` pattern).
+_BLANKS = re.compile(r"[ \t\r]+")
+_WORD = re.compile(r"\w+")
 
 
 @dataclass(frozen=True)
@@ -67,15 +77,16 @@ class Lexer:
         return tokens
 
     def _tokens(self) -> Iterator[Token]:
-        while self.pos < len(self.source):
-            ch = self.source[self.pos]
+        source = self.source
+        while self.pos < len(source):
+            ch = source[self.pos]
             if ch in " \t\r":
-                self._advance(1)
+                self._advance(_BLANKS.match(source, self.pos).end() - self.pos)
             elif ch == "\n":
                 self._advance_line()
-            elif self.source.startswith("//", self.pos):
+            elif source.startswith("//", self.pos):
                 self._skip_line_comment()
-            elif self.source.startswith("/*", self.pos):
+            elif source.startswith("/*", self.pos):
                 self._skip_block_comment()
             elif ch.isdigit():
                 yield self._lex_number()
@@ -94,8 +105,8 @@ class Lexer:
         self.column = 1
 
     def _skip_line_comment(self) -> None:
-        while self.pos < len(self.source) and self.source[self.pos] != "\n":
-            self._advance(1)
+        end = self.source.find("\n", self.pos)
+        self._advance((len(self.source) if end < 0 else end) - self.pos)
 
     def _skip_block_comment(self) -> None:
         start_line, start_column = self.line, self.column
@@ -111,41 +122,42 @@ class Lexer:
         raise LexError("unterminated block comment", start_line, start_column)
 
     def _lex_number(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        if self.source.startswith(("0x", "0X"), self.pos):
-            self._advance(2)
-            while self.pos < len(self.source) and self.source[self.pos] in "0123456789abcdefABCDEF":
-                self._advance(1)
-            if self.pos == start + 2:
+        source, line, column = self.source, self.line, self.column
+        start = end = self.pos
+        if source.startswith(("0x", "0X"), start):
+            end += 2
+            while end < len(source) and source[end] in "0123456789abcdefABCDEF":
+                end += 1
+            if end == start + 2:
                 raise LexError("hex literal needs at least one digit", line, column)
         else:
-            while self.pos < len(self.source) and self.source[self.pos].isdigit():
-                self._advance(1)
-        text = self.source[start:self.pos]
+            while end < len(source) and source[end].isdigit():
+                end += 1
+        self._advance(end - start)
+        text = source[start:end]
         # A digit run immediately followed by a letter is a malformed token
         # like 12ab — reject it here rather than confusing the parser.
-        if self.pos < len(self.source) and (
-            self.source[self.pos].isalpha() or self.source[self.pos] == "_"
-        ):
-            raise LexError(f"malformed number {text + self.source[self.pos]!r}...", line, column)
+        if end < len(source) and (source[end].isalpha() or source[end] == "_"):
+            raise LexError(f"malformed number {text + source[end]!r}...", line, column)
+        try:
+            int(text, 0)
+        except ValueError:
+            raise LexError(f"invalid integer literal {text!r}", line, column) from None
         return Token("int", text, line, column)
 
     def _lex_word(self) -> Token:
         line, column = self.line, self.column
         start = self.pos
-        while self.pos < len(self.source) and (
-            self.source[self.pos].isalnum() or self.source[self.pos] == "_"
-        ):
-            self._advance(1)
-        text = self.source[start:self.pos]
+        text = _WORD.match(self.source, start).group()
+        self._advance(len(text))
         kind = "keyword" if text in KEYWORDS else "ident"
         return Token(kind, text, line, column)
 
     def _lex_operator(self) -> Token:
         line, column = self.line, self.column
-        for op in OPERATORS:
-            if self.source.startswith(op, self.pos):
+        for length in _OPERATOR_LENGTHS:
+            op = self.source[self.pos:self.pos + length]
+            if op in _OPERATOR_SET:
                 self._advance(len(op))
                 return Token("op", op, line, column)
         raise LexError(f"unexpected character {self.source[self.pos]!r}", line, column)

@@ -76,6 +76,16 @@ class TestInspect:
         assert [s.name for s in report.segments] == ["jobs.jsonl"]
         assert report.segments[0].framed == 2
 
+    def test_legacy_line_mentioning_crc32_counts_as_legacy(self, tmp_path):
+        (tmp_path / "jobs.jsonl").write_text(
+            '{"event":"job_done","job_id":"j1","error":"crc32 mismatch"}\n'
+        )
+        write_journal(tmp_path, [{"event": "job_done", "job_id": "j2"}])
+        scan = scan_journal(tmp_path, "jobs")
+        assert (scan.framed_records, scan.legacy_records) == (1, 1)
+        segment = inspect_journal(tmp_path, "jobs").segments[0]
+        assert (segment.records, segment.framed, segment.legacy) == (2, 1, 1)
+
     def test_per_segment_damage_attribution(self, tmp_path):
         write_journal(
             tmp_path,

@@ -73,3 +73,25 @@ class TestErrors:
         token = tokenize("abc")[0]
         with pytest.raises(LexError):
             token.int_value
+
+    @pytest.mark.parametrize("source, column", [
+        ("A[i] = 012;", 8),   # C octal
+        ("i < ²", 5),    # isdigit() accepts it, int() does not
+        ("x = 1²;", 5),
+    ])
+    def test_unreadable_literal_is_a_lex_error(self, source, column):
+        with pytest.raises(LexError, match="invalid integer literal") as info:
+            tokenize(source)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    def test_unreadable_literal_through_compile_source(self):
+        from repro.frontend import compile_source
+        source = ("int A[4];\nvoid k() {\n  int i;\n"
+                  "  for (i = 0; i < 4; i++) { A[i] = 012; }\n}\n")
+        with pytest.raises(LexError) as info:
+            compile_source(source)
+        assert (info.value.line, info.value.column) == (4, 36)
+
+    def test_readable_literals_still_lex(self):
+        # 00 and a non-ASCII decimal digit are literals int() reads.
+        assert [t.int_value for t in tokenize("00 0x0 ٣")[:-1]] == [0, 0, 3]

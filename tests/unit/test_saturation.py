@@ -61,3 +61,40 @@ class TestSmallTrips:
         info = analyze_saturation(program, 4)
         # full product 4 unreachable; the best achievable is 2
         assert all(v.product == 2 for v in info.saturation_set)
+
+
+class TestOnePerWalk:
+    """A walk runs the saturation analysis once: the explorer's
+    auto-pinned space carries it to the strategy, and a strategy runs it
+    itself only for a space built without it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.dse import explorer, strategy
+        counted = []
+        for module in (explorer, strategy):
+            real = module.analyze_saturation
+
+            def counting(*args, _real=real, _module=module.__name__):
+                counted.append(_module)
+                return _real(*args)
+            monkeypatch.setattr(module, "analyze_saturation", counting)
+        return counted
+
+    @pytest.mark.parametrize("search", [
+        {"strategy": "balance"}, {"strategy": "linear"}, {"strategy": "hill"},
+        {"strategy": "exhaustive"}, {"strategy": "auto"},
+    ])
+    def test_auto_pinned_walks(self, calls, fir_program, search):
+        from repro.dse import ExploreConfig, SearchOptions, explore
+        from repro.target import wildstar_pipelined
+        explore(fir_program, wildstar_pipelined(),
+                config=ExploreConfig(search=SearchOptions(**search)))
+        assert calls == ["repro.dse.explorer"]
+
+    def test_explicit_pins(self, calls, fir_program):
+        from repro.dse import ExploreConfig, explore
+        from repro.target import wildstar_pipelined
+        explore(fir_program, wildstar_pipelined(),
+                config=ExploreConfig(pinned_depths=()))
+        assert calls == ["repro.dse.strategy"]
